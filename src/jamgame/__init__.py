@@ -51,7 +51,6 @@ from .estimation import (
 from .game import (
     GameSpec,
     GameState,
-    enumerate_states,
     reward_attacker,
     simulate_trajectory,
     transition_distribution,

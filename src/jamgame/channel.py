@@ -10,6 +10,7 @@ normal upper tail.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "stationary_distribution",
     "sinr",
     "packet_arrival_prob",
+    "draw_index",
     "step_gain",
     "sample_arrival",
 ]
@@ -170,11 +172,26 @@ def packet_arrival_prob(
     return min(1.0, max(0.0, q))
 
 
+def draw_index(cdf: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw: ``searchsorted(cdf, u, "right")`` for uniform ``u``.
+
+    ``bisect`` does the search: on rows of a few entries it costs a fraction
+    of a numpy call. When rounding leaves ``cdf[-1] <= u`` the draw falls
+    back to the last entry with positive mass, never outside the support.
+    """
+    k = bisect_right(cdf, u)
+    if k < len(cdf):
+        return k
+    k -= 1
+    while k > 0 and cdf[k] <= cdf[k - 1]:
+        k -= 1
+    return k
+
+
 def step_gain(spec: ChannelSpec, current: float, rng: np.random.Generator) -> float:
     """Sample the next block's gain from the kernel row of ``current``."""
     i = spec.gain_index(current)
-    j = int(rng.choice(spec.n_gains, p=spec.kernel[i]))
-    return spec.gains[j]
+    return spec.gains[draw_index(np.cumsum(spec.kernel[i]), rng.random())]
 
 
 def sample_arrival(q: float, rng: np.random.Generator) -> int:

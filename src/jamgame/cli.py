@@ -24,6 +24,9 @@ from .estimation import boundedness_threshold
 
 __all__ = ["main"]
 
+# Largest deviation from 1 allowed in the sum of a stored strategy row.
+POLICY_SUM_TOL = 1e-9
+
 
 def _load(args):
     cfg = load_config(args.config)
@@ -55,7 +58,7 @@ def _policies_json(spec, policies) -> str:
     doc = {
         "actions_attacker": list(spec.actions_attacker),
         "actions_sensor": list(spec.actions_sensor),
-        "states": [[s.tau, s.g_s, s.g_a] for s in game.enumerate_states(spec)],
+        "states": [[s.tau, s.g_s, s.g_a] for s in spec.states],
         "policies": [
             {
                 "attacker": p.strat_p1.probs.tolist(),
@@ -202,18 +205,7 @@ def cmd_bayes(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
-    try:
-        with open(args.policies) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read policy file: {exc}") from exc
-    pols = doc["policies"]
-    if len(pols) != cfg.game.n_states:
-        raise ConfigError(
-            f"policy file covers {len(pols)} states, game has {cfg.game.n_states}"
-        )
-    pa = np.array([p["attacker"] for p in pols])
-    ps = np.array([p["sensor"] for p in pols])
+    pa, ps = _read_policies(args.policies, cfg.game)
     rng = np.random.default_rng(cfg.learn.seed)
     traj = game.simulate_trajectory(cfg.game, pa, ps, horizon=args.horizon, rng=rng)
     path = os.path.join(out, "trajectory.csv")
@@ -221,6 +213,31 @@ def cmd_simulate(args) -> int:
     print(f"wrote {path}")
     print(f"empirical discounted return: {traj.discounted_return(cfg.game.beta)!r}")
     return 0
+
+
+def _read_policies(path, spec) -> tuple:
+    """Attacker and sensor strategy tables (state x action) of a policy file."""
+    try:
+        with open(path) as fh:
+            pols = json.load(fh)["policies"]
+        tables = {player: np.array([p[player] for p in pols], dtype=float)
+                  for player in ("attacker", "sensor")}
+    except OSError as exc:
+        raise ConfigError(f"cannot read policy file: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"policy file lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"policy file is malformed: {exc}") from exc
+    for player, table in tables.items():
+        shape = (spec.n_states, len(getattr(spec, f"actions_{player}")))
+        if table.shape != shape:
+            raise ConfigError(f"policy file: {player} table has shape {table.shape}, game needs {shape}")
+        ok = (table >= 0).all(axis=1) & (np.abs(table.sum(axis=1) - 1.0) <= POLICY_SUM_TOL)
+        if not ok.all():
+            raise ConfigError(
+                f"policy file: {player} row of state {int(np.argmin(ok))} is not a probability vector"
+            )
+    return tables["attacker"], tables["sensor"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -178,7 +178,8 @@ def steady_state_covariance(
     Stops when the sup-norm change between successive iterates drops to
     ``tol``; raises ``ConvergenceError`` past ``max_iter``. The returned
     summary carries the spectral radius of ``A`` and the trace table up
-    to ``tau_max``.
+    to ``tau_max``; raises ``ValueError`` when an entry of that table is
+    not finite in float64.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -200,9 +201,15 @@ def steady_state_covariance(
     rho_a = float(np.abs(np.linalg.eigvals(model.A)).max())
     traces = []
     hm = p
-    for _ in range(tau_max + 1):
-        traces.append(float(np.trace(hm)))
-        hm = lyapunov_step(hm, model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(tau_max + 1):
+            traces.append(float(np.trace(hm)))
+            if not np.isfinite(traces[-1]):
+                raise ValueError(
+                    f"trace table overflows float64 at holding time {m}: "
+                    f"tau_max={tau_max} is too large for rho(A)={rho_a:.6g}"
+                )
+            hm = lyapunov_step(hm, model)
     p.flags.writeable = False
     return SteadySummary(
         p_bar=p, rho_a=rho_a, trace_table=tuple(traces), iterations=it, tol=tol

@@ -6,6 +6,10 @@ jamming power, the sensor a transmission power; the attacker's stage
 reward is ``Tr[h^tau(P_bar)] + alpha_s * b - alpha_a * a`` and the game
 is zero-sum. Holding time is truncated at ``tau_max`` (failures saturate
 there), which keeps the state space finite.
+
+``GameSpec.compiled`` holds the rewards and the factored transition law
+as arrays, which value iteration, the learner and ``play``, the one
+stepping engine, read; ``transition_distribution`` is the reference law.
 """
 
 from __future__ import annotations
@@ -15,15 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSpec, packet_arrival_prob, stationary_distribution
+from .channel import ChannelSpec, draw_index, packet_arrival_prob, stationary_distribution
 from .estimation import SystemModel, boundedness_threshold, steady_state_covariance
 
 __all__ = [
+    "CompiledGame",
     "GameSpec",
     "GameState",
-    "enumerate_states",
     "reward_attacker",
     "transition_distribution",
+    "play",
+    "fixed_policy",
     "simulate_trajectory",
     "write_trajectory_csv",
     "TRAJECTORY_COLUMNS",
@@ -41,6 +47,71 @@ class GameState:
     tau: int
     g_s: float
     g_a: float
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledGame:
+    """The game's rewards and factored transition law as read-only arrays.
+
+    State index ``s = tau * n_pairs + p`` with ``p`` the gain pair
+    ``(g_s, g_a)`` in state order. ``reward[s, a, b]`` is the attacker's
+    stage reward, ``arrival[p, a, b]`` the packet's success probability,
+    ``gain_step[p, p']`` the weight of next gain pair ``p'``, and
+    ``cdf[p, a, b]`` the cumulative next-state law over ``2 * n_pairs``
+    entries: delivered (``tau' = 0``) pairs, then lost
+    (``tau' = min(tau + 1, tau_max)``) pairs.
+    """
+
+    reward: np.ndarray
+    arrival: np.ndarray
+    gain_step: np.ndarray
+    cdf: np.ndarray
+    tau_max: int
+    n_pairs: int
+
+    def expected(self, v: np.ndarray) -> np.ndarray:
+        """``E[v(s') | s, a, b]`` for every cell, shaped like ``reward``."""
+        # w[t, p] = sum_p' gain_step[p, p'] v[t, p']
+        w = v.reshape(self.tau_max + 1, self.n_pairs) @ self.gain_step.T
+        lost = w[np.minimum(np.arange(1, self.tau_max + 2), self.tau_max)]
+        q = self.arrival
+        out = q * w[0][:, None, None] + (1.0 - q) * lost[:, :, None, None]
+        return out.reshape(self.reward.shape)
+
+    def next_state(self, si: int, ai: int, bi: int, u: float) -> int:
+        """Next state index from ``si`` under actions ``(ai, bi)`` for uniform ``u``."""
+        n = self.n_pairs
+        tau, p = divmod(si, n)
+        k = draw_index(self.cdf[p, ai, bi], u)
+        if k < n:
+            return k
+        return min(tau + 1, self.tau_max) * n + k - n
+
+
+def _compile(spec, desc: tuple) -> CompiledGame:
+    n = len(desc) ** 2
+    trace = np.array(spec.steady.trace_table)[:, None, None]
+    acts_a = np.array(spec.actions_attacker)[None, :, None]
+    acts_b = np.array(spec.actions_sensor)[None, None, :]
+    reward = np.repeat(trace + spec.alpha_s * acts_b - spec.alpha_a * acts_a, n, axis=0)
+    arrival = np.array([
+        [[packet_arrival_prob(spec.channel, b, gs, a, ga) for b in spec.actions_sensor]
+         for a in spec.actions_attacker]
+        for gs in desc
+        for ga in desc
+    ])
+    if spec.gain_mode == "stationary":
+        w = spec.mu[::-1]  # gains ascend in the channel, descend in the states
+        gain_step = np.tile(np.outer(w, w).ravel(), (n, 1))
+    else:
+        k = spec.channel.kernel[::-1, ::-1]
+        gain_step = np.kron(k, k)
+    q = arrival[..., None]
+    g = gain_step[:, None, None, :]
+    cdf = np.cumsum(np.concatenate((q * g, (1.0 - q) * g), axis=-1), axis=-1)
+    for arr in (reward, arrival, gain_step, cdf):
+        arr.flags.writeable = False
+    return CompiledGame(reward, arrival, gain_step, cdf, spec.tau_max, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +137,7 @@ class GameSpec:
     states: tuple = field(init=False, repr=False)
     steady: object = field(init=False, repr=False)
     mu: np.ndarray = field(init=False, repr=False)
+    compiled: CompiledGame = field(init=False, repr=False)
     min_arrival_prob: float = field(init=False, repr=False)
     bound_threshold: float = field(init=False, repr=False)
     boundedness_ok: bool = field(init=False, repr=False)
@@ -107,13 +179,9 @@ class GameSpec:
             self, "_index", {(s.tau, s.g_s, s.g_a): i for i, s in enumerate(states)}
         )
 
-        q_min = min(
-            packet_arrival_prob(self.channel, b, gs, a, ga)
-            for a in self.actions_attacker
-            for b in self.actions_sensor
-            for gs in self.channel.gains
-            for ga in self.channel.gains
-        )
+        compiled = _compile(self, desc)
+        object.__setattr__(self, "compiled", compiled)
+        q_min = float(compiled.arrival.min())
         threshold = boundedness_threshold(steady)
         object.__setattr__(self, "min_arrival_prob", q_min)
         object.__setattr__(self, "bound_threshold", threshold)
@@ -163,11 +231,6 @@ class GameSpec:
         )
 
 
-def enumerate_states(spec: GameSpec) -> tuple:
-    """All states in their canonical order (tau major, gains descending)."""
-    return spec.states
-
-
 def reward_attacker(spec: GameSpec, m: int, a: float, b: float) -> float:
     """Attacker stage reward at holding time ``m``; the sensor gets its negation."""
     if not 0 <= m <= spec.tau_max:
@@ -203,14 +266,29 @@ def transition_distribution(spec: GameSpec, state: GameState, a: float, b: float
     return out
 
 
-def _sample_gain(gains, weights, rng) -> float:
-    u = rng.random()
-    acc = 0.0
-    for g, w in zip(gains, weights):
-        acc += w
-        if u < acc:
-            return g
-    return gains[-1]
+def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generator):
+    """Step the closed loop ``steps`` times from state index ``start``.
+
+    ``policy(si)`` gives both players' action CDFs at ``si``, asked afresh
+    each step. A step draws the attacker action, the sensor action, then
+    the next state, one uniform each, and yields ``(si, ai, bi, next_si)``.
+    """
+    model = spec.compiled
+    si = start
+    for _ in range(steps):
+        cdf_a, cdf_b = policy(si)
+        ai = draw_index(cdf_a, rng.random())
+        bi = draw_index(cdf_b, rng.random())
+        nxt = model.next_state(si, ai, bi, rng.random())
+        yield si, ai, bi, nxt
+        si = nxt
+
+
+def fixed_policy(policy_a, policy_s):
+    """``play`` policy for fixed per-state mixed strategies (rows of each array)."""
+    cdf_a = np.cumsum(policy_a, axis=1)
+    cdf_b = np.cumsum(policy_s, axis=1)
+    return lambda si: (cdf_a[si], cdf_b[si])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,57 +332,23 @@ def simulate_trajectory(
         raise ValueError("policies must cover every state")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    state = spec.states[0] if start is None else start
-    spec.state_index(state)
-
-    cols = {name: [] for name in TRAJECTORY_COLUMNS}
-    for k in range(horizon):
-        si = spec.state_index(state)
-        ai = _sample_index(pa[si], rng)
-        bi = _sample_index(ps[si], rng)
-        a = spec.actions_attacker[ai]
-        b = spec.actions_sensor[bi]
-        q = spec.arrival_prob(a, b, state.g_s, state.g_a)
-        gamma = 1 if rng.random() < q else 0
-        cols["step"].append(k)
-        cols["tau"].append(state.tau)
-        cols["g_s"].append(state.g_s)
-        cols["g_a"].append(state.g_a)
-        cols["a"].append(a)
-        cols["b"].append(b)
-        cols["q"].append(q)
-        cols["gamma"].append(gamma)
-        cols["trace_P"].append(spec.steady.trace_table[state.tau])
-        cols["r1"].append(reward_attacker(spec, state.tau, a, b))
-        tau_next = 0 if gamma else min(state.tau + 1, spec.tau_max)
-        w_s, w_a = spec.gain_weights(state)
-        state = GameState(
-            tau_next,
-            _sample_gain(spec.channel.gains, w_s, rng),
-            _sample_gain(spec.channel.gains, w_a, rng),
-        )
+    si = 0 if start is None else spec.state_index(start)
+    steps = np.array(list(play(spec, fixed_policy(pa, ps), si, horizon, rng)))
+    si, ai, bi, nxt = steps.T
+    model = spec.compiled
+    tau = si // model.n_pairs
     return Trajectory(
-        steps=np.array(cols["step"]),
-        tau=np.array(cols["tau"]),
-        g_s=np.array(cols["g_s"]),
-        g_a=np.array(cols["g_a"]),
-        a=np.array(cols["a"]),
-        b=np.array(cols["b"]),
-        q=np.array(cols["q"]),
-        gamma=np.array(cols["gamma"]),
-        trace_p=np.array(cols["trace_P"]),
-        r1=np.array(cols["r1"]),
+        steps=np.arange(horizon),
+        tau=tau,
+        g_s=np.array([s.g_s for s in spec.states])[si],
+        g_a=np.array([s.g_a for s in spec.states])[si],
+        a=np.array(spec.actions_attacker)[ai],
+        b=np.array(spec.actions_sensor)[bi],
+        q=model.arrival[si % model.n_pairs, ai, bi],
+        gamma=(nxt < model.n_pairs).astype(int),
+        trace_p=np.array(spec.steady.trace_table)[tau],
+        r1=model.reward[si, ai, bi],
     )
-
-
-def _sample_index(probs, rng) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

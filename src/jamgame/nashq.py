@@ -11,9 +11,9 @@ with a per-cell harmonic learning rate. Because the rewards are exact
 negations and both players share one equilibrium selection, the tables
 stay exact mirrors of each other throughout.
 
-The oracle iterates the same fixed point directly from the analytic
-transition model (a beta-contraction in the sup norm), giving the
-reference tables the learner is checked against.
+The oracle iterates the same fixed point directly from the game's
+compiled, factored transition law (a beta-contraction in the sup norm),
+giving the reference tables the learner is checked against.
 
 Stage games here are zero-sum by construction; they are solved by a
 closed-form routine (pure saddle scan, 2x2 mixing formula) that agrees
@@ -37,7 +37,7 @@ from .equilibria import (
     solve_stage,
     zero_sum_value,
 )
-from .game import GameSpec, enumerate_states, reward_attacker, transition_distribution
+from .game import GameSpec, fixed_policy, play
 
 __all__ = [
     "QTables",
@@ -183,27 +183,6 @@ def _bilinear(x, matrix, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed model tables
-# ---------------------------------------------------------------------------
-
-def _model_tables(spec: GameSpec):
-    """Reward tensor and dense transition kernel for the finite game."""
-    states = enumerate_states(spec)
-    ns = len(states)
-    na = len(spec.actions_attacker)
-    nb = len(spec.actions_sensor)
-    r1 = np.empty((ns, na, nb))
-    trans = np.zeros((ns, na, nb, ns))
-    for si, s in enumerate(states):
-        for ai, a in enumerate(spec.actions_attacker):
-            for bi, b in enumerate(spec.actions_sensor):
-                r1[si, ai, bi] = reward_attacker(spec, s.tau, a, b)
-                for nxt, p in transition_distribution(spec, s, a, b).items():
-                    trans[si, ai, bi, spec.state_index(nxt)] += p
-    return r1, trans
-
-
-# ---------------------------------------------------------------------------
 # Nash Q-learning (Algorithm: episodic asynchronous updates)
 # ---------------------------------------------------------------------------
 
@@ -225,26 +204,33 @@ def nash_q_learn(
     counts (used to measure convergence against the oracle).
     """
     rng = np.random.default_rng(cfg.seed)
-    r1, trans = _model_tables(spec)
+    r1 = spec.compiled.reward
     ns, na, nb = r1.shape
     q1 = np.zeros((ns, na, nb))
     q2 = np.zeros((ns, na, nb))
     visits = np.zeros((ns, na, nb), dtype=np.int64)
 
-    # Cumulative transition rows for inverse-CDF sampling.
-    cum = np.cumsum(trans.reshape(ns * na * nb, ns), axis=1)
-
     uniform_a = np.full(na, 1.0 / na)
     uniform_b = np.full(nb, 1.0 / nb)
     eps = cfg.exploration
 
-    # Per-state equilibrium cache, invalidated when the state's cell changes.
+    # Per-state stage equilibrium and the exploring players' action CDFs,
+    # invalidated when the state's cell changes.
     cache = [None] * ns
 
     def stage(si):
         if cache[si] is None:
-            cache[si] = _stage_equilibrium(q1[si])
+            pi1, pi2 = _stage_equilibrium(q1[si])
+            if eps > 0.0:
+                pa = (1.0 - eps) * pi1 + eps * uniform_a
+                pb = (1.0 - eps) * pi2 + eps * uniform_b
+            else:
+                pa, pb = pi1, pi2
+            cache[si] = (pi1, pi2, np.add.accumulate(pa), np.add.accumulate(pb))
         return cache[si]
+
+    def explore(si):
+        return stage(si)[2:]
 
     curve = np.empty((cfg.episodes + 1, na * nb))
     curve[0] = q1[track_state].ravel()
@@ -253,19 +239,9 @@ def nash_q_learn(
     wanted = sorted(set(int(e) for e in snapshot_episodes))
 
     for ep in range(cfg.episodes):
-        si = int(rng.integers(ns))
-        for _ in range(cfg.steps_per_episode):
-            pi1, pi2 = stage(si)
-            if eps > 0.0:
-                pa = (1.0 - eps) * pi1 + eps * uniform_a
-                pb = (1.0 - eps) * pi2 + eps * uniform_b
-            else:
-                pa, pb = pi1, pi2
-            ai = _draw(pa, rng)
-            bi = _draw(pb, rng)
-            nxt = int(np.searchsorted(cum[(si * na + ai) * nb + bi], rng.random(), side="right"))
-            nxt = min(nxt, ns - 1)
-            npi1, npi2 = stage(nxt)
+        start = int(rng.integers(ns))
+        for si, ai, bi, nxt in play(spec, explore, start, cfg.steps_per_episode, rng):
+            npi1, npi2 = stage(nxt)[:2]
             target1 = r1[si, ai, bi] + spec.beta * _bilinear(npi1, q1[nxt], npi2)
             target2 = -r1[si, ai, bi] + spec.beta * _bilinear(npi1, q2[nxt], npi2)
             visits[si, ai, bi] += 1
@@ -273,7 +249,6 @@ def nash_q_learn(
             q1[si, ai, bi] = (1.0 - lr) * q1[si, ai, bi] + lr * target1
             q2[si, ai, bi] = (1.0 - lr) * q2[si, ai, bi] + lr * target2
             cache[si] = None
-            si = nxt
         curve[ep + 1] = q1[track_state].ravel()
         if ep + 1 in wanted:
             snapshots[ep + 1] = q1.copy()
@@ -289,17 +264,6 @@ def nash_q_learn(
         mirror_max=mirror_max,
         snapshots=snapshots,
     )
-
-
-def _draw(probs, rng) -> int:
-    u = rng.random()
-    acc = 0.0
-    last = len(probs) - 1
-    for i in range(last):
-        acc += probs[i]
-        if u < acc:
-            return i
-    return last
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +282,8 @@ def shapley_value_iteration(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    r1, trans = _model_tables(spec)
+    model = spec.compiled
+    r1 = model.reward
     ns, na, nb = r1.shape
     q1 = np.zeros((ns, na, nb))
     q2 = np.zeros((ns, na, nb))
@@ -330,8 +295,8 @@ def shapley_value_iteration(
             x, y = _stage_equilibrium(q1[si])
             v1[si] = _bilinear(x, q1[si], y)
             v2[si] = _bilinear(x, q2[si], y)
-        new1 = r1 + spec.beta * trans @ v1
-        new2 = -r1 + spec.beta * trans @ v2
+        new1 = r1 + spec.beta * model.expected(v1)
+        new2 = -r1 + spec.beta * model.expected(v2)
         delta = max(
             float(np.abs(new1 - q1).max()),
             float(np.abs(new2 - q2).max()),
@@ -393,26 +358,15 @@ def discounted_rollouts(
     """Per-rollout discounted attacker returns from the given start state."""
     if spec.beta**horizon > 1e-6:
         raise ValueError("horizon too short: beta^horizon must be at most 1e-6")
-    r1, trans = _model_tables(spec)
-    ns, na, nb = r1.shape
-    pa, ps = policy_arrays(policies)
-    cum = np.cumsum(trans.reshape(ns * na * nb, ns), axis=1)
-    cpa = np.cumsum(pa, axis=1)
-    cps = np.cumsum(ps, axis=1)
+    r1 = spec.compiled.reward
+    policy = fixed_policy(*policy_arrays(policies))
     out = np.empty(n_rollouts)
     for k in range(n_rollouts):
-        si = start_index
         total = 0.0
         disc = 1.0
-        for _ in range(horizon):
-            ai = int(np.searchsorted(cpa[si], rng.random(), side="right"))
-            bi = int(np.searchsorted(cps[si], rng.random(), side="right"))
-            ai = min(ai, na - 1)
-            bi = min(bi, nb - 1)
+        for si, ai, bi, _ in play(spec, policy, start_index, horizon, rng):
             total += disc * r1[si, ai, bi]
             disc *= spec.beta
-            si = int(np.searchsorted(cum[(si * na + ai) * nb + bi], rng.random(), side="right"))
-            si = min(si, ns - 1)
         out[k] = total
     return out
 
@@ -435,7 +389,7 @@ def empirical_return(
 
 def qtables_to_json(spec: GameSpec, tables: QTables) -> str:
     doc = {
-        "states": [[s.tau, s.g_s, s.g_a] for s in enumerate_states(spec)],
+        "states": [[s.tau, s.g_s, s.g_a] for s in spec.states],
         "actions_attacker": list(spec.actions_attacker),
         "actions_sensor": list(spec.actions_sensor),
         "q1": tables.q1.tolist(),
@@ -467,7 +421,7 @@ def write_qtable_csv(spec: GameSpec, tables: QTables, path) -> None:
     ]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for si, s in enumerate(enumerate_states(spec)):
+        for si, s in enumerate(spec.states):
             row = [f"s{si}", str(s.tau), repr(s.g_s), repr(s.g_a)]
             row += [repr(float(tables.q1[si, ai, bi])) for ai, bi in pairs]
             fh.write(",".join(row) + "\n")

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import GameSpec, enumerate_states, reward_attacker
+from .game import GameSpec, reward_attacker
 
 __all__ = [
     "LatticePoint",
@@ -326,7 +326,7 @@ def check_monotone_policy(
     enforced -- ties are reported as witnesses). Pairs below ``min_tau``
     are skipped.
     """
-    states = enumerate_states(spec)
+    states = spec.states
     acts_a = np.array(spec.actions_attacker)
     acts_b = np.array(spec.actions_sensor)
     exp_a = np.array([float(p.strat_p1.probs @ acts_a) for p in policies])

@@ -59,6 +59,19 @@ class TestSteady:
         assert main(["steady", "--config", str(bad)]) == 2
         assert "model" in capsys.readouterr().err
 
+    def test_overflowing_trace_table_exit_2(self, tmp_path, capsys):
+        # A = 1.2 grows the trace by 1.44 per holding step: past float64 near 1944.
+        with open(os.path.join(CONFIG_DIR, "default.json")) as fh:
+            doc = json.load(fh)
+        doc["game"]["tau_max"] = 2000
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["steady", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "inf" not in captured.out
+        assert "config error:" in captured.err
+        assert "tau_max=2000" in captured.err and "rho(A)=1.2" in captured.err
+
 
 class TestSolveAndLearn:
     def test_solve_writes_tables(self, fast_config, tmp_path, capsys):
@@ -171,6 +184,38 @@ class TestSimulateCommand:
     def test_missing_policy_file_exit_2(self, fast_config, tmp_path):
         assert main(["simulate", "--config", fast_config,
                      "--policies", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("case", [
+        "no_policies_key", "no_attacker", "no_sensor", "ragged_rows",
+        "negative_entry", "row_sum_off_one",
+    ])
+    def test_malformed_policy_file_exit_2(self, fast_config, tmp_path, capsys, case):
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", fast_config, "--out", out]) == 0
+        path = os.path.join(out, "oracle_policies.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        pols = doc["policies"]
+        if case == "no_policies_key":
+            del doc["policies"]
+        elif case == "no_attacker":
+            del pols[3]["attacker"]
+        elif case == "no_sensor":
+            del pols[3]["sensor"]
+        elif case == "ragged_rows":
+            pols[3]["attacker"] = [0.5, 0.25, 0.25]
+        elif case == "negative_entry":
+            pols[3]["sensor"] = [1.5, -0.5]
+        else:
+            pols[3]["sensor"] = [0.5, 0.5 + 1e-8]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["simulate", "--config", fast_config, "--out", out,
+                     "--policies", path, "--horizon", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: policy file")
+        assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
 class TestDeterminism:

@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from spec_strategies import game_specs
 
 from jamgame.channel import ChannelSpec, packet_arrival_prob
 from jamgame.estimation import SystemModel
 from jamgame.game import (
     GameSpec,
     GameState,
-    enumerate_states,
     reward_attacker,
     simulate_trajectory,
     transition_distribution,
@@ -43,7 +45,7 @@ def spec():
 
 class TestGameSpec:
     def test_twenty_states(self, spec):
-        states = enumerate_states(spec)
+        states = spec.states
         assert len(states) == 20
         assert states[0] == GameState(0, 0.8, 0.8)
         assert states[12] == GameState(3, 0.8, 0.8)
@@ -52,10 +54,10 @@ class TestGameSpec:
     def test_single_gain_single_tau(self):
         ch = ChannelSpec(gains=(0.7,), kernel=[[1.0]], sigma2=0.5)
         small = paper_spec(channel=ch, tau_max=1)
-        assert len(enumerate_states(small)) == 2
+        assert len(small.states) == 2
 
     def test_index_round_trip(self, spec):
-        for i, s in enumerate(enumerate_states(spec)):
+        for i, s in enumerate(spec.states):
             assert spec.state_index(s) == i
 
     def test_unknown_state_rejected(self, spec):
@@ -115,7 +117,7 @@ class TestReward:
 
 class TestTransition:
     def test_rows_sum_to_one(self, spec):
-        for s in enumerate_states(spec):
+        for s in spec.states:
             for a in spec.actions_attacker:
                 for b in spec.actions_sensor:
                     dist = transition_distribution(spec, s, a, b)
@@ -124,7 +126,7 @@ class TestTransition:
                     assert taus <= {0, min(s.tau + 1, spec.tau_max)}
 
     def test_stationary_mode_gain_marginal(self, spec):
-        s = enumerate_states(spec)[5]
+        s = spec.states[5]
         dist = transition_distribution(spec, s, 1.0, 2.0)
         marginal = {}
         for nxt, p in dist.items():
@@ -133,7 +135,7 @@ class TestTransition:
             assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_success_mass_equals_arrival_probability(self, spec):
-        s = enumerate_states(spec)[7]
+        s = spec.states[7]
         a, b = 6.0, 2.0
         q = packet_arrival_prob(spec.channel, b, s.g_s, a, s.g_a)
         dist = transition_distribution(spec, s, a, b)
@@ -231,3 +233,50 @@ class TestSimulation:
             mask = traj.g_s[:-1] == g
             stay = (traj.g_s[1:][mask] == g).mean()
             assert abs(stay - kernel[i][i]) < 0.01
+
+
+def dense_law(spec, state, a, b):
+    """Next-state probabilities in state-index order, from the reference law."""
+    law = np.zeros(spec.n_states)
+    for nxt, p in transition_distribution(spec, state, a, b).items():
+        law[spec.state_index(nxt)] += p
+    return law
+
+
+class TestCompiledModel:
+    def test_draw_past_rounded_cdf_stays_in_support(self, default_config):
+        # Rows whose cumulative mass rounds below 1 once sent u >= cdf[-1] to
+        # the last state (tau = tau_max); the draw must stay on the support.
+        spec = default_config.game
+        model = spec.compiled
+        short = np.argwhere(model.cdf[..., -1] < 1.0)
+        assert len(short) > 0
+        u = np.nextafter(1.0, 0.0)
+        for p, ai, bi in short:
+            si = int(p)  # the tau = 0 state with gain pair p
+            nxt = spec.states[model.next_state(si, int(ai), int(bi), u)]
+            law = transition_distribution(spec, spec.states[si],
+                                          spec.actions_attacker[ai], spec.actions_sensor[bi])
+            assert nxt.tau in (0, 1)
+            assert law.get(nxt, 0.0) > 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=game_specs())
+    def test_compiled_law_matches_reference(self, spec):
+        model = spec.compiled
+        n = model.n_pairs
+        assert np.abs(model.cdf[..., -1] - 1.0).max() <= 1e-12
+        mass = np.diff(model.cdf, axis=-1, prepend=0.0)
+        v = np.random.default_rng(0).normal(size=spec.n_states)
+        expected = model.expected(v)
+        for si, s in enumerate(spec.states):
+            lost = min(s.tau + 1, spec.tau_max)
+            for ai, a in enumerate(spec.actions_attacker):
+                for bi, b in enumerate(spec.actions_sensor):
+                    assert model.reward[si, ai, bi] == reward_attacker(spec, s.tau, a, b)
+                    law = np.zeros(spec.n_states)
+                    law[:n] = mass[si % n, ai, bi, :n]
+                    law[lost * n:(lost + 1) * n] = mass[si % n, ai, bi, n:]
+                    ref = dense_law(spec, s, a, b)
+                    assert np.abs(law - ref).max() <= 1e-12
+                    assert abs(expected[si, ai, bi] - ref @ v) <= 1e-12 * (1 + np.abs(v).max())
