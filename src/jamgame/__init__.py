@@ -35,6 +35,7 @@ from .equilibria import (
     StageGame,
     deviation_gap,
     lemke_howson,
+    solve_zero_sum,
     support_enumeration,
     zero_sum_value,
 )

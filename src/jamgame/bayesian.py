@@ -4,9 +4,9 @@ A player's type is its channel gain; beliefs about the opponent's gain
 come from the stationary distribution (default) or from the kernel row
 of one's own gain. The game is solved in matrix form: pure strategies
 become functions type -> action, the payoff matrix is the belief-weighted
-expectation over type pairs, and the zero-sum expansion is handed to the
-LP solver. The mixed solution is then marginalized back into one action
-distribution per type and certified by the conditional deviation gap.
+expectation over type pairs, and the zero-sum expansion goes to
+``solve_zero_sum``. The mixed solution is then marginalized back into one
+action distribution per type and certified by the conditional deviation gap.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CERT_TOL, NORM_TOL, StageGame, zero_sum_value
+from .equilibria import CERT_TOL, NORM_TOL, StageGame, solve_zero_sum
 from .game import GameSpec, reward_attacker
 
 __all__ = [
@@ -198,7 +198,7 @@ def expand_matrix(spec: BayesianSpec) -> StageGame:
 def solve_bayesian(spec: BayesianSpec) -> BayesResult:
     """Solve the expanded game and marginalize back to per-type strategies."""
     game = expand_matrix(spec)
-    res = zero_sum_value(game)
+    res = solve_zero_sum(game)
     k = len(spec.types)
     attacker = _marginalize(res.strat_p1.probs, spec.actions_attacker, k)
     sensor = _marginalize(res.strat_p2.probs, spec.actions_sensor, k)

@@ -24,9 +24,6 @@ from .estimation import boundedness_threshold
 
 __all__ = ["main"]
 
-# Largest deviation from 1 allowed in the sum of a stored strategy row.
-POLICY_SUM_TOL = 1e-9
-
 
 def _load(args):
     cfg = load_config(args.config)
@@ -232,11 +229,10 @@ def _read_policies(path, spec) -> tuple:
         shape = (spec.n_states, len(getattr(spec, f"actions_{player}")))
         if table.shape != shape:
             raise ConfigError(f"policy file: {player} table has shape {table.shape}, game needs {shape}")
-        ok = (table >= 0).all(axis=1) & (np.abs(table.sum(axis=1) - 1.0) <= POLICY_SUM_TOL)
-        if not ok.all():
-            raise ConfigError(
-                f"policy file: {player} row of state {int(np.argmin(ok))} is not a probability vector"
-            )
+    try:
+        game.fixed_policy(tables["attacker"], tables["sensor"])
+    except ValueError as exc:
+        raise ConfigError(f"policy file: {exc}") from exc
     return tables["attacker"], tables["sensor"]
 
 

@@ -8,6 +8,9 @@ Three routes are provided and cross-checked in the test suite:
 * ``support_enumeration`` -- exhaustive support pairs for desk-scale
   games, used as the independent oracle.
 
+``solve_zero_sum`` is the one certified zero-sum entry point: a pure
+saddle scan and the 2x2 mixing formula, with the LP as the fallback.
+
 Every result is certified against the *original* payoff matrices via
 ``deviation_gap``; tolerances are centralized below.
 """
@@ -28,6 +31,7 @@ __all__ = [
     "deviation_gap",
     "lemke_howson",
     "zero_sum_value",
+    "solve_zero_sum",
     "support_enumeration",
     "solve_stage",
     "read_stage_game",
@@ -319,6 +323,62 @@ def zero_sum_value(game: StageGame) -> EquilibriumResult:
     return res
 
 
+def _closed_form(a: np.ndarray):
+    """Equilibrium (x, y) of the zero-sum game with row payoffs ``a``, or None.
+
+    Pure saddle points are found by scanning (ties break to the lowest
+    index); 2x2 games without one use the closed-form mixing weights.
+    Returns None when neither applies.
+    """
+    m, n = a.shape
+    row_min = a.min(axis=1)
+    col_max = a.max(axis=0)
+    if row_min.max() == col_max.min():
+        x = np.zeros(m)
+        y = np.zeros(n)
+        x[np.argmax(row_min)] = 1.0
+        y[np.argmin(col_max)] = 1.0
+        return x, y
+    if (m, n) == (2, 2):
+        (p11, p12), (p21, p22) = a
+        den = (p11 - p12) + (p22 - p21)
+        if den != 0.0:
+            p = (p22 - p21) / den
+            q = (p22 - p12) / den
+            if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0:
+                return np.array([p, 1.0 - p]), np.array([q, 1.0 - q])
+    return None
+
+
+def _zero_sum_strategies(a: np.ndarray) -> tuple:
+    """Strategies (x, y) for the zero-sum game with row payoffs ``a``.
+
+    The uncertified per-step form of ``solve_zero_sum`` for hot loops:
+    the closed form when it applies, else the LP's strategies.
+    """
+    sol = _closed_form(a)
+    if sol is not None:
+        return sol
+    res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=-a))
+    return res.strat_p1.probs, res.strat_p2.probs
+
+
+def solve_zero_sum(game: StageGame) -> EquilibriumResult:
+    """Certified equilibrium of a zero-sum game.
+
+    The closed form (pure saddle, 2x2 mixing) is taken when its deviation
+    gap is within ``CERT_TOL``; otherwise the LP solves the game.
+    """
+    if not game.zero_sum:
+        raise ValueError("solve_zero_sum requires payoff_p1 + payoff_p2 = 0")
+    sol = _closed_form(game.payoff_p1)
+    if sol is not None:
+        res = _result(game, *sol)
+        if res.deviation_gap <= CERT_TOL:
+            return res
+    return zero_sum_value(game)
+
+
 # ---------------------------------------------------------------------------
 # Support enumeration (oracle)
 # ---------------------------------------------------------------------------
@@ -393,12 +453,12 @@ def _support_solve(a, b, sup_x, sup_y):
 def solve_stage(game: StageGame) -> EquilibriumResult:
     """One certified equilibrium, deterministically selected.
 
-    Zero-sum games go through the LP route. Otherwise Lemke-Howson runs
+    Zero-sum games go through ``solve_zero_sum``. Otherwise Lemke-Howson runs
     are tried at increasing initial labels and the first certified result
     wins; support enumeration is the last resort for small games.
     """
     if game.zero_sum:
-        return zero_sum_value(game)
+        return solve_zero_sum(game)
     m, n = game.shape
     for label in range(m + n):
         try:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSpec, draw_index, packet_arrival_prob, stationary_distribution
+from .equilibria import CERT_TOL
 from .estimation import SystemModel, boundedness_threshold, steady_state_covariance
 
 __all__ = [
@@ -38,6 +39,9 @@ __all__ = [
 GAIN_MODES = ("stationary", "markov")
 
 TRAJECTORY_COLUMNS = ("step", "tau", "g_s", "g_a", "a", "b", "q", "gamma", "trace_P", "r1")
+
+# Largest deviation from 1 allowed in the sum of a policy row.
+POLICY_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,14 @@ class GameSpec:
         )
 
         compiled = _compile(self, desc)
+        # Values are bounded by B = max|r| / (1 - beta); float64 rounding at
+        # that scale must stay below the certification tolerance.
+        bound = float(np.abs(compiled.reward).max()) / (1.0 - self.beta)
+        if np.finfo(float).eps * bound > CERT_TOL:
+            raise ValueError(
+                f"tau_max={self.tau_max} with rho(A)={steady.rho_a:.6g} gives the value bound "
+                f"B={bound:.3g}, too large to certify equilibria to {CERT_TOL:g} in float64"
+            )
         object.__setattr__(self, "compiled", compiled)
         q_min = float(compiled.arrival.min())
         threshold = boundedness_threshold(steady)
@@ -285,7 +297,14 @@ def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generato
 
 
 def fixed_policy(policy_a, policy_s):
-    """``play`` policy for fixed per-state mixed strategies (rows of each array)."""
+    """``play`` policy for fixed per-state mixed strategies (rows of each array).
+
+    A row that is not a probability vector raises ``ValueError``.
+    """
+    for player, table in (("attacker", policy_a), ("sensor", policy_s)):
+        ok = (table >= 0).all(axis=1) & (np.abs(table.sum(axis=1) - 1.0) <= POLICY_SUM_TOL)
+        if not ok.all():
+            raise ValueError(f"{player} row of state {int(np.argmin(ok))} is not a probability vector")
     cdf_a = np.cumsum(policy_a, axis=1)
     cdf_b = np.cumsum(policy_s, axis=1)
     return lambda si: (cdf_a[si], cdf_b[si])

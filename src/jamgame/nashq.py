@@ -1,24 +1,23 @@
 """Nash Q-learning and its minimax value-iteration oracle.
 
-Both players keep a Q-table over (state, joint action). Learning updates
-only the visited cell: the target bootstraps through the equilibrium
-value of the *next* state's stage game ``(Q1[s'], Q2[s'])``, so the
-update is
+The sensor's stage reward is the exact negation of the attacker's, so
+Nash-Q reduces to minimax-Q: one table ``Q1`` over (state, joint action)
+holds the attacker's values and the sensor's view is derived from it as
+``Q2 = -Q1`` (``QTables.q2``). Learning updates only the visited cell:
+the target bootstraps through the equilibrium value of the *next*
+state's stage game ``Q1[s']``, so the update is
 
-    Q_i <- (1 - lr) Q_i + lr * (r_i + beta * pi1' Q_i[s'] pi2)
+    Q1 <- (1 - lr) Q1 + lr * (r1 + beta * pi1' Q1[s'] pi2)
 
-with a per-cell harmonic learning rate. Because the rewards are exact
-negations and both players share one equilibrium selection, the tables
-stay exact mirrors of each other throughout.
+with a per-cell harmonic learning rate.
 
 The oracle iterates the same fixed point directly from the game's
 compiled, factored transition law (a beta-contraction in the sup norm),
-giving the reference tables the learner is checked against.
+giving the reference table the learner is checked against.
 
-Stage games here are zero-sum by construction; they are solved by a
-closed-form routine (pure saddle scan, 2x2 mixing formula) that agrees
-with the LP solver to machine precision and keeps the 10^6-step learning
-loop off the LP solver's overhead. Larger action sets fall back to the LP.
+Stage games are solved by ``equilibria``: the hot loops take the closed
+form (pure saddle scan, 2x2 mixing formula) or the LP's strategies, and
+``extract_policy`` certifies each state through ``solve_zero_sum``.
 """
 
 from __future__ import annotations
@@ -28,15 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import (
-    CERT_TOL,
-    EquilibriumResult,
-    MixedStrategy,
-    StageGame,
-    deviation_gap,
-    solve_stage,
-    zero_sum_value,
-)
+from .equilibria import ZERO_SUM_TOL, StageGame, _zero_sum_strategies, solve_zero_sum
 from .game import GameSpec, fixed_policy, play
 
 __all__ = [
@@ -57,19 +48,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QTables:
-    """Per-player value tables plus shared visit counts.
+    """The attacker's value table plus visit counts; the sensor's is derived.
 
     Arrays are indexed ``[state, attacker action, sensor action]``; counts
     record how often each joint cell was updated.
     """
 
     q1: np.ndarray
-    q2: np.ndarray
     visits: np.ndarray
 
     def __post_init__(self):
-        if not (self.q1.shape == self.q2.shape == self.visits.shape):
-            raise ValueError("tables and visit counts must share one shape")
+        if self.q1.shape != self.visits.shape:
+            raise ValueError("table and visit counts must share one shape")
+
+    @property
+    def q2(self) -> np.ndarray:
+        """The sensor's table; ``0.0 - q1`` keeps unvisited cells at +0.0."""
+        return 0.0 - self.q1
 
     @property
     def mirror_error(self) -> float:
@@ -110,7 +105,7 @@ class LearnResult:
     policies: list
     curve: np.ndarray  # per-episode Q1 values of the tracked state
     tracked_state: int
-    mirror_max: float
+    mirror_max: float  # max |Q1 + Q2| of the returned tables
     snapshots: dict = field(default_factory=dict)
 
 
@@ -122,53 +117,8 @@ class ValueIterationResult:
     sweeps: int
 
 
-# ---------------------------------------------------------------------------
-# Fast zero-sum stage solving for the hot loops
-# ---------------------------------------------------------------------------
-
-def _solve_zero_sum_fast(matrix: np.ndarray):
-    """Equilibrium (x, y) of a zero-sum stage game given the row payoffs.
-
-    Pure saddle points are found by scanning; 2x2 games without one use
-    the closed-form mixing weights. Returns None when neither applies
-    (caller then pays for the LP).
-    """
-    m, n = matrix.shape
-    row_min = matrix.min(axis=1)
-    col_max = matrix.max(axis=0)
-    maximin = row_min.max()
-    minimax = col_max.min()
-    if maximin == minimax:  # pure saddle; ties break to the lowest index
-        i = int(np.argmax(row_min))
-        j = int(np.argmin(col_max))
-        x = np.zeros(m)
-        y = np.zeros(n)
-        x[i] = 1.0
-        y[j] = 1.0
-        return x, y
-    if (m, n) == (2, 2):
-        a, b = matrix[0]
-        c, d = matrix[1]
-        den = (a - b) + (d - c)
-        if den != 0.0:
-            p = (d - c) / den
-            q = (d - b) / den
-            if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0:
-                return np.array([p, 1.0 - p]), np.array([q, 1.0 - q])
-    return None
-
-
-def _stage_equilibrium(matrix: np.ndarray):
-    """Strategies for the zero-sum stage game with row payoffs ``matrix``."""
-    sol = _solve_zero_sum_fast(matrix)
-    if sol is not None:
-        return sol
-    res = zero_sum_value(StageGame(payoff_p1=matrix, payoff_p2=-matrix))
-    return res.strat_p1.probs, res.strat_p2.probs
-
-
 def _bilinear(x, matrix, y) -> float:
-    """``x' M y`` accumulated in a fixed order (exact under negation)."""
+    """``x' M y`` accumulated in a fixed order, skipping zero weights."""
     total = 0.0
     for i, xi in enumerate(x):
         if xi == 0.0:
@@ -192,13 +142,12 @@ def nash_q_learn(
     track_state: int = 0,
     snapshot_episodes: tuple = (),
 ) -> LearnResult:
-    """Learn both players' equilibrium Q-tables from simulated play.
+    """Learn the equilibrium Q-table from simulated play.
 
     Episodes restart from a uniformly random state. Within an episode,
     the joint action is sampled from the current stage-game equilibrium
     blended with a uniform exploration mix, the transition is sampled
-    from the analytic model, and only the visited cell is updated. The
-    mirror error max ``|Q1 + Q2|`` is tracked across the whole run.
+    from the analytic model, and only the visited cell is updated.
 
     ``snapshot_episodes`` requests copies of Q1 after the given episode
     counts (used to measure convergence against the oracle).
@@ -207,7 +156,6 @@ def nash_q_learn(
     r1 = spec.compiled.reward
     ns, na, nb = r1.shape
     q1 = np.zeros((ns, na, nb))
-    q2 = np.zeros((ns, na, nb))
     visits = np.zeros((ns, na, nb), dtype=np.int64)
 
     uniform_a = np.full(na, 1.0 / na)
@@ -220,7 +168,7 @@ def nash_q_learn(
 
     def stage(si):
         if cache[si] is None:
-            pi1, pi2 = _stage_equilibrium(q1[si])
+            pi1, pi2 = _zero_sum_strategies(q1[si])
             if eps > 0.0:
                 pa = (1.0 - eps) * pi1 + eps * uniform_a
                 pb = (1.0 - eps) * pi2 + eps * uniform_b
@@ -235,33 +183,28 @@ def nash_q_learn(
     curve = np.empty((cfg.episodes + 1, na * nb))
     curve[0] = q1[track_state].ravel()
     snapshots = {}
-    mirror_max = 0.0
     wanted = sorted(set(int(e) for e in snapshot_episodes))
 
     for ep in range(cfg.episodes):
         start = int(rng.integers(ns))
         for si, ai, bi, nxt in play(spec, explore, start, cfg.steps_per_episode, rng):
             npi1, npi2 = stage(nxt)[:2]
-            target1 = r1[si, ai, bi] + spec.beta * _bilinear(npi1, q1[nxt], npi2)
-            target2 = -r1[si, ai, bi] + spec.beta * _bilinear(npi1, q2[nxt], npi2)
+            target = r1[si, ai, bi] + spec.beta * _bilinear(npi1, q1[nxt], npi2)
             visits[si, ai, bi] += 1
             lr = cfg.learning_rate(int(visits[si, ai, bi]))
-            q1[si, ai, bi] = (1.0 - lr) * q1[si, ai, bi] + lr * target1
-            q2[si, ai, bi] = (1.0 - lr) * q2[si, ai, bi] + lr * target2
+            q1[si, ai, bi] = (1.0 - lr) * q1[si, ai, bi] + lr * target
             cache[si] = None
         curve[ep + 1] = q1[track_state].ravel()
         if ep + 1 in wanted:
             snapshots[ep + 1] = q1.copy()
-            mirror_max = max(mirror_max, float(np.abs(q1 + q2).max()))
-    mirror_max = max(mirror_max, float(np.abs(q1 + q2).max()))
 
-    tables = QTables(q1=q1, q2=q2, visits=visits)
+    tables = QTables(q1=q1, visits=visits)
     return LearnResult(
         tables=tables,
         policies=extract_policy(tables),
         curve=curve,
         tracked_state=track_state,
-        mirror_max=mirror_max,
+        mirror_max=tables.mirror_error,
         snapshots=snapshots,
     )
 
@@ -275,8 +218,8 @@ def shapley_value_iteration(
 ) -> ValueIterationResult:
     """Solve the game's Q fixed point directly from the transition model.
 
-    Each sweep replaces ``Q_i`` with ``r_i + beta * E[val_i(s')]`` where
-    ``val_i`` is the zero-sum value of the stage game at each state. The
+    Each sweep replaces ``Q1`` with ``r1 + beta * E[val(s')]`` where
+    ``val`` is the zero-sum value of the stage game at each state. The
     sweep map contracts at rate ``beta`` in the sup norm, so successive
     deltas shrink geometrically; iteration stops once they reach ``tol``.
     """
@@ -286,28 +229,21 @@ def shapley_value_iteration(
     r1 = model.reward
     ns, na, nb = r1.shape
     q1 = np.zeros((ns, na, nb))
-    q2 = np.zeros((ns, na, nb))
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v1 = np.empty(ns)
-        v2 = np.empty(ns)
+        v = np.empty(ns)
         for si in range(ns):
-            x, y = _stage_equilibrium(q1[si])
-            v1[si] = _bilinear(x, q1[si], y)
-            v2[si] = _bilinear(x, q2[si], y)
-        new1 = r1 + spec.beta * model.expected(v1)
-        new2 = -r1 + spec.beta * model.expected(v2)
-        delta = max(
-            float(np.abs(new1 - q1).max()),
-            float(np.abs(new2 - q2).max()),
-        )
-        q1, q2 = new1, new2
+            x, y = _zero_sum_strategies(q1[si])
+            v[si] = _bilinear(x, q1[si], y)
+        new = r1 + spec.beta * model.expected(v)
+        delta = float(np.abs(new - q1).max())
+        q1 = new
         deltas.append(delta)
         if delta <= tol:
             break
     else:
         raise RuntimeError(f"value iteration did not reach tol={tol} in {max_sweeps} sweeps")
-    tables = QTables(q1=q1, q2=q2, visits=np.zeros_like(q1, dtype=np.int64))
+    tables = QTables(q1=q1, visits=np.zeros_like(q1, dtype=np.int64))
     return ValueIterationResult(
         tables=tables, policies=extract_policy(tables), deltas=tuple(deltas), sweeps=sweep
     )
@@ -319,25 +255,8 @@ def shapley_value_iteration(
 
 def extract_policy(tables: QTables) -> list:
     """Per-state certified equilibrium of the stage game (Q1[s], Q2[s])."""
-    out = []
-    for si in range(tables.q1.shape[0]):
-        game = StageGame(payoff_p1=tables.q1[si], payoff_p2=tables.q2[si])
-        if game.zero_sum:
-            x, y = _stage_equilibrium(tables.q1[si])
-            s1, s2 = MixedStrategy(x), MixedStrategy(y)
-            res = EquilibriumResult(
-                strat_p1=s1,
-                strat_p2=s2,
-                value_p1=_bilinear(x, tables.q1[si], y),
-                value_p2=_bilinear(x, tables.q2[si], y),
-                deviation_gap=deviation_gap(game, s1, s2),
-            )
-            if res.deviation_gap > CERT_TOL:
-                res = zero_sum_value(game)
-        else:
-            res = solve_stage(game)
-        out.append(res)
-    return out
+    return [solve_zero_sum(StageGame(payoff_p1=a, payoff_p2=b))
+            for a, b in zip(tables.q1, tables.q2)]
 
 
 def policy_arrays(policies) -> tuple:
@@ -400,12 +319,16 @@ def qtables_to_json(spec: GameSpec, tables: QTables) -> str:
 
 
 def qtables_from_json(text: str) -> QTables:
+    """Tables from ``qtables_to_json`` output; the stored ``q2`` must mirror ``q1``."""
     doc = json.loads(text)
-    return QTables(
+    tables = QTables(
         q1=np.array(doc["q1"], dtype=float),
-        q2=np.array(doc["q2"], dtype=float),
         visits=np.array(doc["visits"], dtype=np.int64),
     )
+    q2 = np.array(doc["q2"], dtype=float)
+    if q2.shape != tables.q1.shape or not (np.abs(tables.q1 + q2) <= ZERO_SUM_TOL).all():
+        raise ValueError("stored q2 is not the negation of q1")
+    return tables
 
 
 def write_qtable_csv(spec: GameSpec, tables: QTables, path) -> None:

@@ -99,6 +99,30 @@ class TestSolveAndLearn:
         doc = json.loads(open(os.path.join(out, "learn_qtables.json")).read())
         assert np.abs(np.array(doc["q1"])).max() == 0.0
 
+    def test_learn_dump_has_no_negative_zero(self, fast_config, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["learn", "--config", fast_config, "--out", out,
+                     "--episodes", "3"]) == 0
+        doc = json.loads(open(os.path.join(out, "learn_qtables.json")).read())
+        for key in ("q1", "q2"):
+            table = np.array(doc[key])
+            assert (table == 0.0).any()
+            assert not np.signbit(table[table == 0.0]).any()
+
+    def test_payoff_scale_beyond_certification_exit_2(self, tmp_path, capsys):
+        # At tau_max=100 max|Q*| reaches 3e16: float64 spacing there dwarfs CERT_TOL.
+        with open(os.path.join(CONFIG_DIR, "default.json")) as fh:
+            doc = json.load(fh)
+        doc["game"]["tau_max"] = 100
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "tau_max=100" in err and "rho(A)=1.2" in err and "B=" in err
+        assert not os.path.exists(out)
+
     def test_learn_oracle_flag_prints_gap(self, fast_config, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["learn", "--config", fast_config, "--out", out,

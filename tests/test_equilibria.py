@@ -11,8 +11,10 @@ from jamgame.equilibria import (
     StageGame,
     deviation_gap,
     lemke_howson,
+    _zero_sum_strategies,
     read_stage_game,
     solve_stage,
+    solve_zero_sum,
     support_enumeration,
     zero_sum_value,
 )
@@ -133,6 +135,53 @@ class TestZeroSumValue:
             # All equilibria of a zero-sum game share one value.
             for eq in eqs:
                 assert lp.value_p1 == pytest.approx(eq.value_p1, abs=VALUE_TOL)
+
+
+class TestFastStageSolver:
+    def test_agrees_with_lp_on_random_2x2(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            m = rng.normal(size=(2, 2))
+            if rng.random() < 0.3:
+                m = np.round(m)  # force ties / saddle points
+            x, y = _zero_sum_strategies(m)
+            game = zero_sum(m)
+            lp = zero_sum_value(game)
+            assert deviation_gap(game, x, y) <= 1e-9
+            assert float(x @ m @ y) == pytest.approx(lp.value_p1, abs=1e-9)
+
+    def test_pure_saddle_scan_on_larger_matrices(self):
+        m = np.array([[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]])
+        # row 0 / column 1 is a saddle: min of row 0, max of column 1
+        x, y = _zero_sum_strategies(m)
+        assert x.tolist() == [1.0, 0.0]
+        assert y.tolist() == [0.0, 1.0, 0.0]
+
+
+class TestSolveZeroSum:
+    def test_random_games_certified_and_match_lp(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            m = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
+            if rng.random() < 0.4:
+                m = np.round(m)  # force ties and saddle points
+            game = zero_sum(m)
+            res = solve_zero_sum(game)
+            assert res.deviation_gap <= CERT_TOL
+            assert deviation_gap(game, res.strat_p1, res.strat_p2) == res.deviation_gap
+            assert res.value_p1 == pytest.approx(zero_sum_value(game).value_p1, abs=VALUE_TOL)
+            assert res.value_p2 == -res.value_p1
+
+    def test_rejects_general_sum(self):
+        with pytest.raises(ValueError):
+            solve_zero_sum(BATTLE)
+
+    def test_dispatcher_routes_zero_sum_games_here(self):
+        game = zero_sum([[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]])
+        res = solve_stage(game)
+        assert res.strat_p1.probs.tolist() == [1.0, 0.0]
+        assert res.strat_p2.probs.tolist() == [0.0, 1.0, 0.0]
+        assert res.value_p1 == 4.0
 
 
 class TestSupportEnumeration:

@@ -11,6 +11,7 @@ from jamgame.estimation import SystemModel
 from jamgame.game import (
     GameSpec,
     GameState,
+    fixed_policy,
     reward_attacker,
     simulate_trajectory,
     transition_distribution,
@@ -81,6 +82,12 @@ class TestGameSpec:
     def test_actions_must_increase(self):
         with pytest.raises(ValueError):
             paper_spec(actions_attacker=(6.0, 1.0))
+
+    def test_payoff_scale_beyond_certification_rejected(self):
+        # eps * max|r| / (1 - beta) is 5.3e-9 at tau_max=40, 3.3e-8 at 45.
+        paper_spec(tau_max=40)
+        with pytest.raises(ValueError, match=r"tau_max=45.*rho\(A\)=1\.2.*B="):
+            paper_spec(tau_max=45)
 
 
 class TestReward:
@@ -219,6 +226,23 @@ class TestSimulation:
         t1 = simulate_trajectory(spec, pa, ps, 100, np.random.default_rng(9))
         t2 = simulate_trajectory(spec, pa, ps, 100, np.random.default_rng(9))
         assert (t1.a == t2.a).all() and (t1.gamma == t2.gamma).all()
+
+    @pytest.mark.parametrize("player", ["attacker", "sensor"])
+    def test_rows_that_are_not_probability_vectors_rejected(self, spec, player):
+        good = np.tile([0.5, 0.5], (spec.n_states, 1))
+        for row in ([0.2, 0.2], [1.5, -0.5], [0.5, 0.5 + 1e-8], [np.nan, 1.0]):
+            bad = good.copy()
+            bad[7] = row
+            pa, ps = (bad, good) if player == "attacker" else (good, bad)
+            with pytest.raises(ValueError, match=f"{player} row of state 7"):
+                simulate_trajectory(spec, pa, ps, 10, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=f"{player} row of state 7"):
+                fixed_policy(pa, ps)
+
+    def test_row_sums_within_tolerance_accepted(self, spec):
+        pa = np.tile([0.5, 0.5 + 1e-10], (spec.n_states, 1))
+        cdf_a, _ = fixed_policy(pa, pa)(3)
+        assert cdf_a.tolist() == [0.5, 1.0 + 1e-10]
 
     def test_markov_mode_gain_transition_frequencies(self):
         kernel = [[0.9, 0.1], [0.3, 0.7]]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from jamgame.channel import ChannelSpec
 from jamgame.equilibria import CERT_TOL
 from jamgame.estimation import SystemModel
 from jamgame.game import GameSpec, reward_attacker, simulate_trajectory, transition_distribution
-from jamgame import nashq
 from jamgame.nashq import (
     LearnConfig,
     QTables,
@@ -67,29 +67,6 @@ class TestLearnConfig:
         rates = np.array([cfg.learning_rate(n) for n in range(1, 20000)])
         assert rates.sum() > 50
         assert (rates**2).sum() < 7
-
-
-class TestFastStageSolver:
-    def test_agrees_with_lp_on_random_2x2(self):
-        from jamgame.equilibria import StageGame, zero_sum_value, deviation_gap
-        rng = np.random.default_rng(77)
-        for _ in range(300):
-            m = rng.normal(size=(2, 2))
-            if rng.random() < 0.3:
-                m = np.round(m)  # force ties / saddle points
-            x, y = nashq._stage_equilibrium(m)
-            game = StageGame(payoff_p1=m, payoff_p2=-m)
-            lp = zero_sum_value(game)
-            assert deviation_gap(game, x, y) <= 1e-9
-            fast_val = nashq._bilinear(x, m, y)
-            assert fast_val == pytest.approx(lp.value_p1, abs=1e-9)
-
-    def test_pure_saddle_scan_on_larger_matrices(self):
-        m = np.array([[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]])
-        # row 0 / column 1 is a saddle: min of row 0, max of column 1
-        x, y = nashq._stage_equilibrium(m)
-        assert x.tolist() == [1.0, 0.0]
-        assert y.tolist() == [0.0, 1.0, 0.0]
 
 
 class TestValueIterationOracle:
@@ -275,14 +252,14 @@ class TestDefaultProfileConvergence:
 class TestExtractPolicy:
     def test_strict_dominance_gives_pure(self):
         q1 = np.array([[[3.0, 4.0], [1.0, 2.0]]])
-        tables = QTables(q1=q1, q2=-q1, visits=np.zeros_like(q1, dtype=np.int64))
+        tables = QTables(q1=q1, visits=np.zeros_like(q1, dtype=np.int64))
         pol = extract_policy(tables)[0]
         assert np.allclose(pol.strat_p1.probs, [1, 0])
         assert np.allclose(pol.strat_p2.probs, [1, 0])
 
     def test_matching_pennies_table_gives_uniform(self):
         q1 = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
-        tables = QTables(q1=q1, q2=-q1, visits=np.zeros_like(q1, dtype=np.int64))
+        tables = QTables(q1=q1, visits=np.zeros_like(q1, dtype=np.int64))
         pol = extract_policy(tables)[0]
         assert np.allclose(pol.strat_p1.probs, [0.5, 0.5], atol=1e-9)
         assert pol.deviation_gap <= 1e-8
@@ -357,6 +334,20 @@ class TestSerialization:
         assert (back.q1 == res.tables.q1).all()
         assert (back.q2 == res.tables.q2).all()
         assert (back.visits == res.tables.visits).all()
+
+    @pytest.mark.parametrize("case", ["not_mirrored", "q2_shape", "visits_shape"])
+    def test_mismatched_tables_rejected(self, case):
+        spec = small_spec()
+        res = nash_q_learn(spec, LearnConfig(episodes=20, seed=13))
+        doc = json.loads(qtables_to_json(spec, res.tables))
+        if case == "not_mirrored":
+            doc["q2"][0][0][0] += 1e-6
+        elif case == "q2_shape":
+            doc["q2"] = doc["q2"][:-1]
+        else:
+            doc["visits"] = doc["visits"][:-1]
+        with pytest.raises(ValueError):
+            qtables_from_json(json.dumps(doc))
 
     def test_round_trip_policies_identical(self):
         spec = small_spec()
