@@ -30,11 +30,12 @@ def _load(args):
     seed = getattr(args, "seed", None)
     episodes = getattr(args, "episodes", None)
     if seed is not None or episodes is not None:
-        learn = dataclasses.replace(
-            cfg.learn,
-            seed=cfg.learn.seed if seed is None else seed,
-            episodes=cfg.learn.episodes if episodes is None else episodes,
-        )
+        seed = cfg.learn.seed if seed is None else seed
+        episodes = cfg.learn.episodes if episodes is None else episodes
+        try:
+            learn = dataclasses.replace(cfg.learn, seed=seed, episodes=episodes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         cfg = dataclasses.replace(cfg, learn=learn)
     return cfg
 
@@ -200,6 +201,8 @@ def cmd_bayes(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.horizon <= 0:
+        raise ConfigError(f"horizon must be positive, got {args.horizon}")
     cfg = _load(args)
     out = _out_dir(args, cfg)
     pa, ps = _read_policies(args.policies, cfg.game)

@@ -323,35 +323,35 @@ def zero_sum_value(game: StageGame) -> EquilibriumResult:
     return res
 
 
-def _closed_form(a: np.ndarray):
+def _closed_form(a):
     """Equilibrium (x, y) of the zero-sum game with row payoffs ``a``, or None.
 
-    Pure saddle points are found by scanning (ties break to the lowest
-    index); 2x2 games without one use the closed-form mixing weights.
-    Returns None when neither applies.
+    Works in scalars on ``a`` given as rows of floats. Pure saddle points
+    are found by scanning (ties break to the lowest index); 2x2 games
+    without one use the closed-form mixing weights, else None.
     """
-    m, n = a.shape
-    row_min = a.min(axis=1)
-    col_max = a.max(axis=0)
-    if row_min.max() == col_max.min():
-        x = np.zeros(m)
-        y = np.zeros(n)
-        x[np.argmax(row_min)] = 1.0
-        y[np.argmin(col_max)] = 1.0
+    row_min = list(map(min, a))
+    col_max = list(map(max, zip(*a)))
+    lower, upper = max(row_min), min(col_max)
+    if lower == upper:
+        x = [0.0] * len(row_min)
+        y = [0.0] * len(col_max)
+        x[row_min.index(lower)] = 1.0
+        y[col_max.index(upper)] = 1.0
         return x, y
-    if (m, n) == (2, 2):
+    if len(row_min) == len(col_max) == 2:
         (p11, p12), (p21, p22) = a
         den = (p11 - p12) + (p22 - p21)
         if den != 0.0:
             p = (p22 - p21) / den
             q = (p22 - p12) / den
             if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0:
-                return np.array([p, 1.0 - p]), np.array([q, 1.0 - q])
+                return [p, 1.0 - p], [q, 1.0 - q]
     return None
 
 
-def _zero_sum_strategies(a: np.ndarray) -> tuple:
-    """Strategies (x, y) for the zero-sum game with row payoffs ``a``.
+def _zero_sum_strategies(a) -> tuple:
+    """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``.
 
     The uncertified per-step form of ``solve_zero_sum`` for hot loops:
     the closed form when it applies, else the LP's strategies.
@@ -359,8 +359,8 @@ def _zero_sum_strategies(a: np.ndarray) -> tuple:
     sol = _closed_form(a)
     if sol is not None:
         return sol
-    res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=-a))
-    return res.strat_p1.probs, res.strat_p2.probs
+    res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=-np.array(a)))
+    return res.strat_p1.probs.tolist(), res.strat_p2.probs.tolist()
 
 
 def solve_zero_sum(game: StageGame) -> EquilibriumResult:
@@ -371,7 +371,7 @@ def solve_zero_sum(game: StageGame) -> EquilibriumResult:
     """
     if not game.zero_sum:
         raise ValueError("solve_zero_sum requires payoff_p1 + payoff_p2 = 0")
-    sol = _closed_form(game.payoff_p1)
+    sol = _closed_form(game.payoff_p1.tolist())
     if sol is not None:
         res = _result(game, *sol)
         if res.deviation_gap <= CERT_TOL:

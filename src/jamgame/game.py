@@ -43,6 +43,9 @@ TRAJECTORY_COLUMNS = ("step", "tau", "g_s", "g_a", "a", "b", "q", "gamma", "trac
 # Largest deviation from 1 allowed in the sum of a policy row.
 POLICY_SUM_TOL = 1e-9
 
+# Most steps whose uniforms ``play`` draws at once, so long horizons stay small.
+_BLOCK_STEPS = 1024
+
 
 @dataclass(frozen=True)
 class GameState:
@@ -63,13 +66,15 @@ class CompiledGame:
     ``gain_step[p, p']`` the weight of next gain pair ``p'``, and
     ``cdf[p, a, b]`` the cumulative next-state law over ``2 * n_pairs``
     entries: delivered (``tau' = 0``) pairs, then lost
-    (``tau' = min(tau + 1, tau_max)``) pairs.
+    (``tau' = min(tau + 1, tau_max)``) pairs; ``cdf_rows`` is the same
+    law as nested lists of floats, which the stepping engine reads.
     """
 
     reward: np.ndarray
     arrival: np.ndarray
     gain_step: np.ndarray
     cdf: np.ndarray
+    cdf_rows: list
     tau_max: int
     n_pairs: int
 
@@ -86,7 +91,7 @@ class CompiledGame:
         """Next state index from ``si`` under actions ``(ai, bi)`` for uniform ``u``."""
         n = self.n_pairs
         tau, p = divmod(si, n)
-        k = draw_index(self.cdf[p, ai, bi], u)
+        k = draw_index(self.cdf_rows[p][ai][bi], u)
         if k < n:
             return k
         return min(tau + 1, self.tau_max) * n + k - n
@@ -115,7 +120,7 @@ def _compile(spec, desc: tuple) -> CompiledGame:
     cdf = np.cumsum(np.concatenate((q * g, (1.0 - q) * g), axis=-1), axis=-1)
     for arr in (reward, arrival, gain_step, cdf):
         arr.flags.writeable = False
-    return CompiledGame(reward, arrival, gain_step, cdf, spec.tau_max, n)
+    return CompiledGame(reward, arrival, gain_step, cdf, cdf.tolist(), spec.tau_max, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,16 +289,22 @@ def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generato
     ``policy(si)`` gives both players' action CDFs at ``si``, asked afresh
     each step. A step draws the attacker action, the sensor action, then
     the next state, one uniform each, and yields ``(si, ai, bi, next_si)``.
+
+    Uniforms come ``_BLOCK_STEPS`` steps' worth at a time from
+    ``rng.random(n)``, the stream of ``n`` scalar draws; a consumer that
+    stops early has advanced ``rng`` to the end of the current block.
     """
-    model = spec.compiled
+    next_state = spec.compiled.next_state
     si = start
-    for _ in range(steps):
-        cdf_a, cdf_b = policy(si)
-        ai = draw_index(cdf_a, rng.random())
-        bi = draw_index(cdf_b, rng.random())
-        nxt = model.next_state(si, ai, bi, rng.random())
-        yield si, ai, bi, nxt
-        si = nxt
+    for done in range(0, steps, _BLOCK_STEPS):
+        u = iter(rng.random(3 * min(steps - done, _BLOCK_STEPS)).tolist())
+        for ua, ub, un in zip(u, u, u):
+            cdf_a, cdf_b = policy(si)
+            ai = draw_index(cdf_a, ua)
+            bi = draw_index(cdf_b, ub)
+            nxt = next_state(si, ai, bi, un)
+            yield si, ai, bi, nxt
+            si = nxt
 
 
 def fixed_policy(policy_a, policy_s):
@@ -305,8 +316,8 @@ def fixed_policy(policy_a, policy_s):
         ok = (table >= 0).all(axis=1) & (np.abs(table.sum(axis=1) - 1.0) <= POLICY_SUM_TOL)
         if not ok.all():
             raise ValueError(f"{player} row of state {int(np.argmin(ok))} is not a probability vector")
-    cdf_a = np.cumsum(policy_a, axis=1)
-    cdf_b = np.cumsum(policy_s, axis=1)
+    cdf_a = np.cumsum(policy_a, axis=1).tolist()
+    cdf_b = np.cumsum(policy_s, axis=1).tolist()
     return lambda si: (cdf_a[si], cdf_b[si])
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,6 +86,8 @@ class LearnConfig:
     def __post_init__(self):
         if self.episodes < 0:
             raise ValueError("episodes must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.steps_per_episode <= 0:
             raise ValueError("steps_per_episode must be positive")
         if self.lr_numerator <= 0 or self.lr_offset <= 0:
@@ -153,16 +156,16 @@ def nash_q_learn(
     counts (used to measure convergence against the oracle).
     """
     rng = np.random.default_rng(cfg.seed)
-    r1 = spec.compiled.reward
-    ns, na, nb = r1.shape
-    q1 = np.zeros((ns, na, nb))
-    visits = np.zeros((ns, na, nb), dtype=np.int64)
-
-    uniform_a = np.full(na, 1.0 / na)
-    uniform_b = np.full(nb, 1.0 / nb)
+    ns, na, nb = spec.compiled.reward.shape
+    # The loop runs on Python floats: tables are nested lists until the end.
+    r1 = spec.compiled.reward.tolist()
+    q1 = np.zeros((ns, na, nb)).tolist()
+    visits = np.zeros((ns, na, nb), dtype=np.int64).tolist()
+    beta, lr_num, lr_off = spec.beta, cfg.lr_numerator, cfg.lr_offset
     eps = cfg.exploration
+    keep, mix_a, mix_b = 1.0 - eps, eps * (1.0 / na), eps * (1.0 / nb)
 
-    # Per-state stage equilibrium and the exploring players' action CDFs,
+    # Per-state exploring players' action CDFs and stage equilibrium,
     # invalidated when the state's cell changes.
     cache = [None] * ns
 
@@ -170,39 +173,41 @@ def nash_q_learn(
         if cache[si] is None:
             pi1, pi2 = _zero_sum_strategies(q1[si])
             if eps > 0.0:
-                pa = (1.0 - eps) * pi1 + eps * uniform_a
-                pb = (1.0 - eps) * pi2 + eps * uniform_b
+                pa = [keep * p + mix_a for p in pi1]
+                pb = [keep * p + mix_b for p in pi2]
             else:
                 pa, pb = pi1, pi2
-            cache[si] = (pi1, pi2, np.add.accumulate(pa), np.add.accumulate(pb))
+            cache[si] = ((list(accumulate(pa)), list(accumulate(pb))), pi1, pi2)
         return cache[si]
 
     def explore(si):
-        return stage(si)[2:]
+        return (cache[si] or stage(si))[0]
 
-    curve = np.empty((cfg.episodes + 1, na * nb))
-    curve[0] = q1[track_state].ravel()
+    curve = np.empty((cfg.episodes + 1, na, nb))
+    curve[0] = q1[track_state]
     snapshots = {}
     wanted = sorted(set(int(e) for e in snapshot_episodes))
 
     for ep in range(cfg.episodes):
         start = int(rng.integers(ns))
         for si, ai, bi, nxt in play(spec, explore, start, cfg.steps_per_episode, rng):
-            npi1, npi2 = stage(nxt)[:2]
-            target = r1[si, ai, bi] + spec.beta * _bilinear(npi1, q1[nxt], npi2)
-            visits[si, ai, bi] += 1
-            lr = cfg.learning_rate(int(visits[si, ai, bi]))
-            q1[si, ai, bi] = (1.0 - lr) * q1[si, ai, bi] + lr * target
+            _, npi1, npi2 = stage(nxt)
+            target = r1[si][ai][bi] + beta * _bilinear(npi1, q1[nxt], npi2)
+            count = visits[si][ai][bi] + 1
+            visits[si][ai][bi] = count
+            lr = lr_num / (lr_off + count)  # cfg.learning_rate(count)
+            row = q1[si][ai]
+            row[bi] = (1.0 - lr) * row[bi] + lr * target
             cache[si] = None
-        curve[ep + 1] = q1[track_state].ravel()
+        curve[ep + 1] = q1[track_state]
         if ep + 1 in wanted:
-            snapshots[ep + 1] = q1.copy()
+            snapshots[ep + 1] = np.array(q1)
 
-    tables = QTables(q1=q1, visits=visits)
+    tables = QTables(q1=np.array(q1), visits=np.array(visits, dtype=np.int64))
     return LearnResult(
         tables=tables,
         policies=extract_policy(tables),
-        curve=curve,
+        curve=curve.reshape(cfg.episodes + 1, na * nb),
         tracked_state=track_state,
         mirror_max=tables.mirror_error,
         snapshots=snapshots,
@@ -232,9 +237,9 @@ def shapley_value_iteration(
     deltas = []
     for sweep in range(1, max_sweeps + 1):
         v = np.empty(ns)
-        for si in range(ns):
-            x, y = _zero_sum_strategies(q1[si])
-            v[si] = _bilinear(x, q1[si], y)
+        for si, a in enumerate(q1.tolist()):
+            x, y = _zero_sum_strategies(a)
+            v[si] = _bilinear(x, a, y)
         new = r1 + spec.beta * model.expected(v)
         delta = float(np.abs(new - q1).max())
         q1 = new
@@ -277,14 +282,14 @@ def discounted_rollouts(
     """Per-rollout discounted attacker returns from the given start state."""
     if spec.beta**horizon > 1e-6:
         raise ValueError("horizon too short: beta^horizon must be at most 1e-6")
-    r1 = spec.compiled.reward
+    r1 = spec.compiled.reward.tolist()
     policy = fixed_policy(*policy_arrays(policies))
     out = np.empty(n_rollouts)
     for k in range(n_rollouts):
         total = 0.0
         disc = 1.0
         for si, ai, bi, _ in play(spec, policy, start_index, horizon, rng):
-            total += disc * r1[si, ai, bi]
+            total += disc * r1[si][ai][bi]
             disc *= spec.beta
         out[k] = total
     return out

@@ -99,6 +99,14 @@ class TestSolveAndLearn:
         doc = json.loads(open(os.path.join(out, "learn_qtables.json")).read())
         assert np.abs(np.array(doc["q1"])).max() == 0.0
 
+    @pytest.mark.parametrize("flag", ["--episodes", "--seed"])
+    def test_negative_override_exit_2(self, fast_config, tmp_path, capsys, flag):
+        out = str(tmp_path / "out")
+        assert main(["learn", "--config", fast_config, "--out", out, flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag[2:] in err
+        assert not os.path.exists(out)
+
     def test_learn_dump_has_no_negative_zero(self, fast_config, tmp_path):
         out = str(tmp_path / "out")
         assert main(["learn", "--config", fast_config, "--out", out,
@@ -204,6 +212,18 @@ class TestSimulateCommand:
         rows = open(os.path.join(out, "trajectory.csv")).read().splitlines()
         assert rows[0] == "step,tau,g_s,g_a,a,b,q,gamma,trace_P,r1"
         assert len(rows) == 501
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_nonpositive_horizon_exit_2(self, fast_config, tmp_path, capsys, horizon):
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", fast_config, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", fast_config, "--out", out,
+                     "--policies", os.path.join(out, "oracle_policies.json"),
+                     "--horizon", horizon]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "horizon" in err
+        assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
     def test_missing_policy_file_exit_2(self, fast_config, tmp_path):
         assert main(["simulate", "--config", fast_config,

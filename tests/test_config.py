@@ -52,6 +52,13 @@ def test_non_integer_episodes_rejected():
         parse_config(doc)
 
 
+def test_negative_seed_rejected():
+    doc = base_doc()
+    doc["learn"]["seed"] = -3
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        parse_config(doc)
+
+
 def test_bad_gain_mode_rejected():
     doc = base_doc()
     doc["game"]["gain_mode"] = "weird"

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy_reference
+
 from jamgame.equilibria import (
     CERT_TOL,
     VALUE_TOL,
     MixedStrategy,
     PivotLimitError,
     StageGame,
+    _closed_form,
     deviation_gap,
     lemke_howson,
     _zero_sum_strategies,
@@ -137,25 +140,50 @@ class TestZeroSumValue:
                 assert lp.value_p1 == pytest.approx(eq.value_p1, abs=VALUE_TOL)
 
 
+@st.composite
+def payoff_rows(draw):
+    """A 1-4 x 1-4 payoff matrix as rows of floats, 2x2 about half the time;
+    some entries rounded to integers so saddle points and ties come up often."""
+    m, n = draw(st.one_of(st.just((2, 2)), st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    vals = draw(st.lists(st.floats(-10, 10, allow_subnormal=False),
+                         min_size=m * n, max_size=m * n))
+    rounded = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    vals = [float(round(v)) if r else v for v, r in zip(vals, rounded)]
+    return [vals[i * n:(i + 1) * n] for i in range(m)]
+
+
 class TestFastStageSolver:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(payoff_rows())
+    def test_scalar_closed_form_matches_numpy_formula(self, rows):
+        ours = _closed_form(rows)
+        ref = numpy_reference.closed_form(np.array(rows))
+        if ref is None:
+            assert ours is None
+        else:
+            assert ours is not None
+            for got, want in zip(ours, ref):
+                assert np.array(got).tobytes() == want.tobytes()
+        assert solve_zero_sum(zero_sum(rows)).deviation_gap <= CERT_TOL
+
     def test_agrees_with_lp_on_random_2x2(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
             m = rng.normal(size=(2, 2))
             if rng.random() < 0.3:
                 m = np.round(m)  # force ties / saddle points
-            x, y = _zero_sum_strategies(m)
+            x, y = _zero_sum_strategies(m.tolist())
             game = zero_sum(m)
             lp = zero_sum_value(game)
             assert deviation_gap(game, x, y) <= 1e-9
             assert float(x @ m @ y) == pytest.approx(lp.value_p1, abs=1e-9)
 
     def test_pure_saddle_scan_on_larger_matrices(self):
-        m = np.array([[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]])
+        m = [[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]]
         # row 0 / column 1 is a saddle: min of row 0, max of column 1
         x, y = _zero_sum_strategies(m)
-        assert x.tolist() == [1.0, 0.0]
-        assert y.tolist() == [0.0, 1.0, 0.0]
+        assert x == [1.0, 0.0]
+        assert y == [0.0, 1.0, 0.0]
 
 
 class TestSolveZeroSum:

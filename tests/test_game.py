@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import numpy_reference
 from spec_strategies import game_specs
 
+from jamgame import game
 from jamgame.channel import ChannelSpec, packet_arrival_prob
 from jamgame.estimation import SystemModel
 from jamgame.game import (
     GameSpec,
     GameState,
     fixed_policy,
+    play,
     reward_attacker,
     simulate_trajectory,
     transition_distribution,
@@ -242,7 +245,23 @@ class TestSimulation:
     def test_row_sums_within_tolerance_accepted(self, spec):
         pa = np.tile([0.5, 0.5 + 1e-10], (spec.n_states, 1))
         cdf_a, _ = fixed_policy(pa, pa)(3)
-        assert cdf_a.tolist() == [0.5, 1.0 + 1e-10]
+        assert cdf_a == [0.5, 1.0 + 1e-10]
+
+    def test_batched_play_walks_the_scalar_path(self, spec):
+        # Uniforms drawn in blocks must give the steps and the final generator
+        # state of three scalar draws per step, with integer draws in between.
+        draws = np.random.default_rng(3)
+        policy = fixed_policy(draws.dirichlet([1.0, 1.0], size=spec.n_states),
+                              draws.dirichlet([1.0, 1.0], size=spec.n_states))
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        lengths = (2 * game._BLOCK_STEPS + 452, 7, game._BLOCK_STEPS, 0)
+        for steps in lengths:
+            start = int(ours.integers(spec.n_states))
+            assert start == int(ref.integers(spec.n_states))
+            walked = list(play(spec, policy, start, steps, ours))
+            assert len(walked) == steps
+            assert walked == list(numpy_reference.play(spec, policy, start, steps, ref))
+        assert ours.bit_generator.state == ref.bit_generator.state
 
     def test_markov_mode_gain_transition_frequencies(self):
         kernel = [[0.9, 0.1], [0.3, 0.7]]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from spec_strategies import game_specs
+import numpy_reference
+from spec_strategies import PAPER_PLANT, game_specs
 
 from jamgame.channel import ChannelSpec
 from jamgame.equilibria import CERT_TOL
@@ -214,6 +215,50 @@ class TestNashQLearning:
         res = nash_q_learn(spec, LearnConfig(episodes=50, seed=8), track_state=3)
         assert res.curve.shape == (51, 4)
         assert (res.curve[0] == 0).all()
+
+
+def lp_markov_spec():
+    """A 3x2 markov game whose learned stage games often lack a saddle point."""
+    return GameSpec(
+        actions_attacker=(0.5, 1.5, 3.0),
+        actions_sensor=(1.0, 2.5),
+        alpha_s=0.3,
+        alpha_a=0.2,
+        beta=0.6,
+        tau_max=3,
+        channel=ChannelSpec(gains=(0.5, 0.8), kernel=[[0.7, 0.3], [0.4, 0.6]],
+                            sigma2=0.5, alpha=1.0),
+        model=PAPER_PLANT,
+        gain_mode="markov",
+    )
+
+
+class TestLearnerPinnedToNumpyLoop:
+    """The float loop gives the numpy reference loop's results bit for bit."""
+
+    @pytest.mark.parametrize("profile", ["default", "no_exploration", "lp_markov_3x2"])
+    def test_tables_curve_and_snapshots_identical(self, default_config, profile):
+        if profile == "lp_markov_3x2":
+            spec, cfg = lp_markov_spec(), LearnConfig(episodes=30, seed=5)
+            track, wanted = 5, (10, 30)
+        else:
+            spec = default_config.game
+            cfg = dataclasses.replace(default_config.learn, episodes=1600)
+            if profile == "no_exploration":
+                cfg = dataclasses.replace(cfg, exploration=0.0)
+            track, wanted = 0, (400, 1600)
+        res = nash_q_learn(spec, cfg, track_state=track, snapshot_episodes=wanted)
+        ref = numpy_reference.nash_q_learn(spec, cfg, track_state=track,
+                                           snapshot_episodes=wanted)
+        if profile == "lp_markov_3x2":
+            assert ref.lp_calls > 0
+        for ours, theirs in ((res.tables.q1, ref.q1), (res.tables.visits, ref.visits),
+                             (res.curve, ref.curve)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        assert sorted(res.snapshots) == sorted(ref.snapshots) == list(wanted)
+        for ep in wanted:
+            assert res.snapshots[ep].tobytes() == ref.snapshots[ep].tobytes()
 
 
 class TestDefaultProfileConvergence:
