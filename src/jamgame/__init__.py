@@ -22,10 +22,8 @@ from .channel import (
     ChannelSpec,
     StationaryDist,
     packet_arrival_prob,
-    sample_arrival,
     sinr,
     stationary_distribution,
-    step_gain,
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .equilibria import (
@@ -44,7 +42,6 @@ from .estimation import (
     SteadySummary,
     SystemModel,
     boundedness_threshold,
-    holding_time_trace,
     lyapunov_step,
     riccati_step,
     steady_state_covariance,
@@ -65,7 +62,6 @@ from .nashq import (
     shapley_value_iteration,
 )
 from .structure import (
-    LatticePoint,
     check_monotone_policy,
     check_q_supermodular,
     check_supermodular,

@@ -7,6 +7,10 @@ become functions type -> action, the payoff matrix is the belief-weighted
 expectation over type pairs, and the zero-sum expansion goes to
 ``solve_zero_sum``. The mixed solution is then marginalized back into one
 action distribution per type and certified by the conditional deviation gap.
+
+``bayesian_from_game`` reads the per-type-pair payoffs off
+``spec.compiled`` into one array: the rewards at the holding time and, for
+lookahead payoffs, the continuation over the arrival probabilities.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import CERT_TOL, NORM_TOL, StageGame, solve_zero_sum
-from .game import GameSpec, reward_attacker
+from .game import GameSpec
 
 __all__ = [
     "BayesianSpec",
@@ -43,16 +47,15 @@ class BayesianSpec:
 
     ``belief[i, j]`` is the joint probability that the attacker's gain is
     ``types[i]`` and the sensor's is ``types[j]``; marginals must be
-    positive. ``payoff(m, a, b, g_s, g_a)`` returns the attacker's reward
-    (the sensor's is its negation); ``holding_time`` fixes ``m``.
+    positive. ``payoff[i, j, a, b]`` is the attacker's reward at that type
+    pair under action indices ``(a, b)``; the sensor's is its negation.
     """
 
     actions_attacker: tuple
     actions_sensor: tuple
     types: tuple
     belief: np.ndarray
-    payoff: object
-    holding_time: int
+    payoff: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "actions_attacker", tuple(float(a) for a in self.actions_attacker))
@@ -70,10 +73,14 @@ class BayesianSpec:
             raise ValueError("belief marginals must be positive")
         belief.flags.writeable = False
         object.__setattr__(self, "belief", belief)
-        if not callable(self.payoff):
-            raise ValueError("payoff must be callable")
-        if self.holding_time < 0:
-            raise ValueError("holding_time must be nonnegative")
+        payoff = np.array(self.payoff, dtype=float)
+        shape = (k, k, len(self.actions_attacker), len(self.actions_sensor))
+        if payoff.shape != shape:
+            raise ValueError(f"payoff must have shape {shape}, got {payoff.shape}")
+        if not np.isfinite(payoff).all():
+            raise ValueError("payoff must be finite")
+        payoff.flags.writeable = False
+        object.__setattr__(self, "payoff", payoff)
         for n_act in (len(self.actions_attacker), len(self.actions_sensor)):
             if n_act**k > MAX_PURE_STRATEGIES:
                 raise ValueError(
@@ -137,21 +144,23 @@ def bayesian_from_game(
         # collapse this to the stationary product.
         belief = mu[:, None] * spec.channel.kernel
 
+    model = spec.compiled
+    k = len(mu)
+    # Rewards do not depend on the gains: every pair of a tau block holds them.
+    reward = model.reward[holding_time * model.n_pairs]
     if payoff_mode == "stage":
-        def payoff(m, a, b, g_s, g_a):
-            return reward_attacker(spec, m, a, b)
+        payoff = np.broadcast_to(reward, (k, k) + reward.shape)
     else:
         if holding_values is None:
             raise ValueError("lookahead payoffs need holding_values")
         vals = np.asarray(holding_values, dtype=float)
         if vals.shape != (spec.tau_max + 1,):
             raise ValueError(f"holding_values must have shape ({spec.tau_max + 1},)")
-
-        def payoff(m, a, b, g_s, g_a):
-            q = spec.arrival_prob(a, b, g_s, g_a)
-            nxt = min(m + 1, spec.tau_max)
-            cont = q * vals[0] + (1.0 - q) * vals[nxt]
-            return reward_attacker(spec, m, a, b) + spec.beta * cont
+        # State pairs run (g_s, g_a) with gains descending; types ascend and
+        # the attacker's comes first.
+        q = model.arrival.reshape((k, k) + reward.shape)[::-1, ::-1].transpose(1, 0, 2, 3)
+        nxt = min(holding_time + 1, spec.tau_max)
+        payoff = reward + spec.beta * (q * vals[0] + (1.0 - q) * vals[nxt])
 
     return BayesianSpec(
         actions_attacker=spec.actions_attacker,
@@ -159,7 +168,6 @@ def bayesian_from_game(
         types=spec.channel.gains,
         belief=belief,
         payoff=payoff,
-        holding_time=holding_time,
     )
 
 
@@ -176,22 +184,16 @@ def expand_matrix(spec: BayesianSpec) -> StageGame:
     pairs under the common prior. Zero-sum by construction.
     """
     k = len(spec.types)
-    rows = _pure_type_strategies(spec.actions_attacker, k)
-    cols = _pure_type_strategies(spec.actions_sensor, k)
-    m = spec.holding_time
-    payoff = np.empty((len(rows), len(cols)))
-    for ri, f in enumerate(rows):
-        for ci, g in enumerate(cols):
-            total = 0.0
-            for ti in range(k):  # attacker's type
-                for tj in range(k):  # sensor's type
-                    w = spec.belief[ti, tj]
-                    if w == 0.0:
-                        continue
-                    a = spec.actions_attacker[f[ti]]
-                    b = spec.actions_sensor[g[tj]]
-                    total += w * spec.payoff(m, a, b, spec.types[tj], spec.types[ti])
-            payoff[ri, ci] = total
+    rows = np.array(_pure_type_strategies(spec.actions_attacker, k))
+    cols = np.array(_pure_type_strategies(spec.actions_sensor, k))
+    payoff = np.zeros((len(rows), len(cols)))
+    # Type pairs are added in the same order for every entry.
+    for ti in range(k):  # attacker's type
+        for tj in range(k):  # sensor's type
+            w = spec.belief[ti, tj]
+            if w == 0.0:
+                continue
+            payoff += w * spec.payoff[ti, tj][np.ix_(rows[:, ti], cols[:, tj])]
     return StageGame(payoff_p1=payoff, payoff_p2=-payoff)
 
 
@@ -232,6 +234,19 @@ def _conditional(belief: np.ndarray, axis: int) -> np.ndarray:
     return (belief / belief.sum(axis=0, keepdims=True)).T
 
 
+def _type_gap(payoff: np.ndarray, cond: np.ndarray, own: np.ndarray, opp: np.ndarray) -> float:
+    """Largest gain of a best pure action over ``own``'s mix, over own types.
+
+    ``payoff[own type, opponent type, own action, opponent action]`` is the
+    player's payoff and ``cond[own type, opponent type]`` its belief.
+    """
+    by_action = np.zeros(own.shape)  # expected payoff per own type and action
+    for t in range(opp.shape[0]):  # opponent's type
+        for j in range(opp.shape[1]):  # opponent's action
+            by_action += (cond[:, t] * opp[t, j])[:, None] * payoff[:, t, :, j]
+    return max(float(row.max()) - float(mix @ row) for mix, row in zip(own, by_action))
+
+
 def bayes_deviation_gap(spec: BayesianSpec, s_attacker: TypeStrategy, s_sensor: TypeStrategy) -> float:
     """Largest conditional improvement any type of either player can get.
 
@@ -242,43 +257,13 @@ def bayes_deviation_gap(spec: BayesianSpec, s_attacker: TypeStrategy, s_sensor: 
     """
     k = len(spec.types)
     na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
-    if s_attacker.probs.shape != (k, na) or s_sensor.probs.shape != (k, nb):
+    x, y = s_attacker.probs, s_sensor.probs
+    if x.shape != (k, na) or y.shape != (k, nb):
         raise ValueError("strategy shape does not match the game")
-    m = spec.holding_time
-    cond_a = _conditional(spec.belief, axis=0)  # P(sensor type | attacker type)
-    cond_s = _conditional(spec.belief, axis=1)  # P(attacker type | sensor type)
-    worst = 0.0
-    # Attacker maximizes payoff.
-    for ti in range(k):
-        by_action = np.zeros(na)
-        for ai, a in enumerate(spec.actions_attacker):
-            for tj in range(k):
-                w = cond_a[ti, tj]
-                if w == 0.0:
-                    continue
-                for bi, b in enumerate(spec.actions_sensor):
-                    pb = s_sensor.probs[tj, bi]
-                    if pb == 0.0:
-                        continue
-                    by_action[ai] += w * pb * spec.payoff(m, a, b, spec.types[tj], spec.types[ti])
-        have = float(s_attacker.probs[ti] @ by_action)
-        worst = max(worst, float(by_action.max()) - have)
-    # Sensor maximizes the negated payoff.
-    for tj in range(k):
-        by_action = np.zeros(nb)
-        for bi, b in enumerate(spec.actions_sensor):
-            for ti in range(k):
-                w = cond_s[tj, ti]
-                if w == 0.0:
-                    continue
-                for ai, a in enumerate(spec.actions_attacker):
-                    pa = s_attacker.probs[ti, ai]
-                    if pa == 0.0:
-                        continue
-                    by_action[bi] -= w * pa * spec.payoff(m, a, b, spec.types[tj], spec.types[ti])
-        have = float(s_sensor.probs[tj] @ by_action)
-        worst = max(worst, float(by_action.max()) - have)
-    return max(worst, 0.0)
+    # The sensor maximizes the negated payoff, seen from its own types and actions.
+    gap_a = _type_gap(spec.payoff, _conditional(spec.belief, axis=0), x, y)
+    gap_s = _type_gap(-spec.payoff.transpose(1, 0, 3, 2), _conditional(spec.belief, axis=1), y, x)
+    return max(0.0, gap_a, gap_s)
 
 
 def write_type_strategy_csv(spec: BayesianSpec, strategy: TypeStrategy, player: str, path) -> None:

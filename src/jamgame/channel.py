@@ -22,8 +22,6 @@ __all__ = [
     "sinr",
     "packet_arrival_prob",
     "draw_index",
-    "step_gain",
-    "sample_arrival",
 ]
 
 ROW_SUM_TOL = 1e-12
@@ -186,16 +184,3 @@ def draw_index(cdf: np.ndarray, u: float) -> int:
     while k > 0 and cdf[k] <= cdf[k - 1]:
         k -= 1
     return k
-
-
-def step_gain(spec: ChannelSpec, current: float, rng: np.random.Generator) -> float:
-    """Sample the next block's gain from the kernel row of ``current``."""
-    i = spec.gain_index(current)
-    return spec.gains[draw_index(np.cumsum(spec.kernel[i]), rng.random())]
-
-
-def sample_arrival(q: float, rng: np.random.Generator) -> int:
-    """Bernoulli packet-arrival draw; 1 means received error-free."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    return 1 if rng.random() < q else 0

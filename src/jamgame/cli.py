@@ -141,7 +141,10 @@ def _write_curve(path, spec, res) -> None:
 
 
 def cmd_equilibrium(args) -> int:
-    stage = equilibria.read_stage_game(args.matrix)
+    try:
+        stage = equilibria.read_stage_game(args.matrix)
+    except ValueError as exc:
+        raise ConfigError(f"matrix file: {exc}") from exc
     print(f"stage game {stage.shape[0]}x{stage.shape[1]}, zero-sum: {stage.zero_sum}")
     try:
         res = equilibria.lemke_howson(stage)

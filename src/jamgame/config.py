@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .bayesian import BELIEF_MODES, PAYOFF_MODES
 from .channel import ChannelSpec
 from .estimation import SystemModel
-from .game import GAIN_MODES, GameSpec
+from .game import GameSpec
 from .nashq import LearnConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
@@ -111,8 +111,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     except (ValueError, TypeError) as exc:
         _reraise("game", exc)
-    if game.gain_mode not in GAIN_MODES:
-        raise ConfigError(f"game.gain_mode must be one of {GAIN_MODES}")
     try:
         learn = LearnConfig(
             episodes=_integer(doc, "learn.episodes"),

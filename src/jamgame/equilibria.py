@@ -263,6 +263,22 @@ def _maximin_lp(a: np.ndarray) -> tuple:
     return res.x[:m], float(res.x[-1])
 
 
+def _indifference(sub: np.ndarray) -> np.ndarray:
+    """``(z, u)`` with ``sub @ z = u`` in every row and ``sum(z) = 1``.
+
+    The bordered ``(k+1) x (k+1)`` system of a square support block;
+    raises ``LinAlgError`` when it is singular.
+    """
+    k = sub.shape[0]
+    lhs = np.zeros((k + 1, k + 1))
+    lhs[:k, :k] = sub
+    lhs[:k, k] = -1.0
+    lhs[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    return np.linalg.solve(lhs, rhs)
+
+
 def _polish_support(a: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Refine an LP solution to machine precision via its support system.
 
@@ -278,18 +294,8 @@ def _polish_support(a: np.ndarray, x: np.ndarray, y: np.ndarray):
     sub = a[np.ix_(sup_x, sup_y)]
     try:
         # Row mix equalizes column payoffs on the support: x' sub = v 1'.
-        lhs = np.zeros((k + 1, k + 1))
-        lhs[:k, :k] = sub.T
-        lhs[:k, k] = -1.0
-        lhs[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        solx = np.linalg.solve(lhs, rhs)
-        lhs2 = np.zeros((k + 1, k + 1))
-        lhs2[:k, :k] = sub
-        lhs2[:k, k] = -1.0
-        lhs2[k, :k] = 1.0
-        soly = np.linalg.solve(lhs2, rhs)
+        solx = _indifference(sub.T)
+        soly = _indifference(sub)
     except np.linalg.LinAlgError:
         return x, y
     if solx[:k].min() < -1e-12 or soly[:k].min() < -1e-12:
@@ -418,18 +424,8 @@ def _support_solve(a, b, sup_x, sup_y):
     k = sup_x.size
     # y on sup_y equalizing the row payoffs over sup_x, and vice versa.
     try:
-        lhs_y = np.zeros((k + 1, k + 1))
-        lhs_y[:k, :k] = a[np.ix_(sup_x, sup_y)]
-        lhs_y[:k, k] = -1.0
-        lhs_y[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        sol_y = np.linalg.solve(lhs_y, rhs)
-        lhs_x = np.zeros((k + 1, k + 1))
-        lhs_x[:k, :k] = b[np.ix_(sup_x, sup_y)].T
-        lhs_x[:k, k] = -1.0
-        lhs_x[k, :k] = 1.0
-        sol_x = np.linalg.solve(lhs_x, rhs)
+        sol_y = _indifference(a[np.ix_(sup_x, sup_y)])
+        sol_x = _indifference(b[np.ix_(sup_x, sup_y)].T)
     except np.linalg.LinAlgError:
         return None
     y_s, u = sol_y[:k], sol_y[k]
@@ -476,22 +472,21 @@ def solve_stage(game: StageGame) -> EquilibriumResult:
 def read_stage_game(path) -> StageGame:
     """Read two whitespace-separated matrices (blank-line delimited blocks).
 
-    A file with a single block is interpreted as a zero-sum game.
+    A line that is empty or holds only whitespace separates blocks. A file
+    with a single block is interpreted as a zero-sum game.
     """
     with open(path) as fh:
-        text = fh.read()
-    blocks = [blk for blk in text.split("\n\n") if blk.strip()]
+        lines = fh.read().splitlines()
+    blocks = [
+        [[float(tok) for tok in line.split()] for line in group]
+        for blank, group in itertools.groupby(lines, key=lambda line: not line.strip())
+        if not blank
+    ]
     if len(blocks) not in (1, 2):
         raise ValueError(f"expected 1 or 2 matrix blocks, found {len(blocks)}")
     mats = []
-    for blk in blocks:
-        rows = [
-            [float(tok) for tok in line.split()]
-            for line in blk.strip().splitlines()
-            if line.strip()
-        ]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
+    for rows in blocks:
+        if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged matrix block")
         mats.append(np.array(rows))
     if len(mats) == 1:

@@ -20,7 +20,6 @@ __all__ = [
     "lyapunov_step",
     "riccati_step",
     "steady_state_covariance",
-    "holding_time_trace",
     "boundedness_threshold",
 ]
 
@@ -214,13 +213,6 @@ def steady_state_covariance(
     return SteadySummary(
         p_bar=p, rho_a=rho_a, trace_table=tuple(traces), iterations=it, tol=tol
     )
-
-
-def holding_time_trace(summary: SteadySummary, m: int) -> float:
-    """Trace of the error covariance after ``m`` consecutive packet losses."""
-    if not 0 <= m <= summary.tau_max:
-        raise ValueError(f"holding time {m} outside [0, {summary.tau_max}]")
-    return summary.trace_table[m]
 
 
 def boundedness_threshold(summary: SteadySummary) -> float:

@@ -8,8 +8,10 @@ is zero-sum. Holding time is truncated at ``tau_max`` (failures saturate
 there), which keeps the state space finite.
 
 ``GameSpec.compiled`` holds the rewards and the factored transition law
-as arrays, which value iteration, the learner and ``play``, the one
-stepping engine, read; ``transition_distribution`` is the reference law.
+as arrays, which value iteration, the learner, ``play`` (the one
+stepping engine), the Bayesian game and the structure checks read;
+``reward_attacker`` and ``transition_distribution`` are the scalar
+reference reward and law.
 """
 
 from __future__ import annotations
@@ -233,20 +235,6 @@ class GameSpec:
         except ValueError:
             raise ValueError(f"sensor action {b} not in {self.actions_sensor}") from None
 
-    def arrival_prob(self, a: float, b: float, g_s: float, g_a: float) -> float:
-        """Success probability of the sensor's packet in the current block."""
-        return packet_arrival_prob(self.channel, b, g_s, a, g_a)
-
-    def gain_weights(self, state: GameState) -> tuple:
-        """Next-block weights over (g_s', g_a'), per ``gain_mode``."""
-        if self.gain_mode == "stationary":
-            return self.mu, self.mu
-        k = self.channel.kernel
-        return (
-            k[self.channel.gain_index(state.g_s)],
-            k[self.channel.gain_index(state.g_a)],
-        )
-
 
 def reward_attacker(spec: GameSpec, m: int, a: float, b: float) -> float:
     """Attacker stage reward at holding time ``m``; the sensor gets its negation."""
@@ -265,8 +253,12 @@ def transition_distribution(spec: GameSpec, state: GameState, a: float, b: float
     sum to 1 over the support.
     """
     spec.state_index(state)
-    q = spec.arrival_prob(a, b, state.g_s, state.g_a)
-    w_s, w_a = spec.gain_weights(state)
+    q = packet_arrival_prob(spec.channel, b, state.g_s, a, state.g_a)
+    if spec.gain_mode == "stationary":
+        w_s = w_a = spec.mu
+    else:
+        w_s = spec.channel.kernel[spec.channel.gain_index(state.g_s)]
+        w_a = spec.channel.kernel[spec.channel.gain_index(state.g_a)]
     tau_fail = min(state.tau + 1, spec.tau_max)
     out: dict = {}
     for i, gs in enumerate(spec.channel.gains):

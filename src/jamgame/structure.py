@@ -11,7 +11,10 @@ facts behind "larger state implies larger equilibrium power":
 * strict monotonicity of per-state equilibrium strategies, summarized
   both by expected action and by the max-probability action.
 
-The reward cancellation check evaluates its alternating sum in exact
+The checks read the game off ``spec.compiled``: the ratio bound and the
+continuation difference share one table of weighted arrival-probability
+increments, and the reward cancellation's float residue comes from the
+compiled rewards. Its exact check evaluates the alternating sum in
 rational arithmetic over the stored float parameters, so "equals zero"
 is meaningful rather than a round-off accident.
 """
@@ -25,10 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import GameSpec, reward_attacker
+from .game import GameSpec
 
 __all__ = [
-    "LatticePoint",
     "EpsilonReport",
     "MonotoneConditionReport",
     "MonotoneReport",
@@ -44,34 +46,6 @@ __all__ = [
     "structure_report",
     "render_report",
 ]
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """State coordinates joined with a joint action, componentwise ordered.
-
-    One point strictly dominates another only when every coordinate
-    (holding time, both gains, both actions) is strictly larger; join and
-    meet are componentwise max and min.
-    """
-
-    tau: int
-    g_s: float
-    g_a: float
-    a: float
-    b: float
-
-    def coords(self) -> tuple:
-        return (self.tau, self.g_s, self.g_a, self.a, self.b)
-
-    def dominates(self, other: "LatticePoint") -> bool:
-        return all(x > y for x, y in zip(self.coords(), other.coords()))
-
-    def join(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(*(max(x, y) for x, y in zip(self.coords(), other.coords())))
-
-    def meet(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(*(min(x, y) for x, y in zip(self.coords(), other.coords())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +78,6 @@ class MonotoneConditionReport:
     epsilon_max: float
     threshold_tau: int = None  # smallest m from which the condition holds onward
 
-    @property
-    def ok(self) -> bool:
-        return self.action_product_ok and self.threshold_tau is not None
-
 
 @dataclass(frozen=True, eq=False)
 class MonotoneReport:
@@ -118,9 +88,38 @@ class MonotoneReport:
     argmax_ok: bool
     argmax_witnesses: tuple
 
-    @property
-    def ok(self) -> bool:
-        return self.expected_ok
+
+def _action_pairs(n: int) -> np.ndarray:
+    """Index pairs ``(low, high)`` of one player's actions, in combination order."""
+    return np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
+
+
+def _increments(spec: GameSpec) -> tuple:
+    """Weighted arrival-probability increments and the tuples that pair them.
+
+    ``inc[i, j, s, t] = (mu_s mu_t) (q_hi - q_lo)`` for the ``i``-th
+    attacker and ``j``-th sensor action pair, raised from low to high
+    together, at the ``s``-th sensor and ``t``-th attacker gain
+    (ascending); ``q`` comes from ``spec.compiled.arrival``. ``keys`` names
+    ``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` for every entry of
+    ``inc[i, j, s, t]`` against ``inc[i, j, s', t']``, in row-major order.
+    """
+    gains = spec.channel.gains
+    l = len(gains)
+    na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
+    # State pairs run (g_s, g_a) with gains descending.
+    q = spec.compiled.arrival.reshape(l, l, na, nb)[::-1, ::-1]
+    pa, pb = _action_pairs(na), _action_pairs(nb)
+    hi = q[:, :, pa[:, 1, None], pb[None, :, 1]]
+    lo = q[:, :, pa[:, 0, None], pb[None, :, 0]]
+    inc = (np.outer(spec.mu, spec.mu)[:, :, None, None] * (hi - lo)).transpose(2, 3, 0, 1)
+    acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
+    keys = [
+        (gs, ga, gps, gpa, acts_a[a_hi], acts_a[a_lo], acts_b[b_hi], acts_b[b_lo])
+        for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(pa.tolist(), pb.tolist())
+        for gs, ga, gps, gpa in itertools.product(gains, repeat=4)
+    ]
+    return inc, keys
 
 
 def epsilon_max(spec: GameSpec) -> EpsilonReport:
@@ -132,52 +131,22 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
     """
     if len(spec.actions_attacker) < 2 or len(spec.actions_sensor) < 2:
         raise ValueError("need at least two actions per player")
-    gains = spec.channel.gains
-    mu = spec.mu
-    values = {}
-    excluded = []
-    cond = True
-    witness = None
-    pairs_a = [
-        (hi, lo) for lo, hi in itertools.combinations(spec.actions_attacker, 2)
-    ]
-    pairs_b = [
-        (hi, lo) for lo, hi in itertools.combinations(spec.actions_sensor, 2)
-    ]
-
-    def qdiff(apair, bpair, gs, ga):
-        hi = spec.arrival_prob(apair[0], bpair[0], gs, ga)
-        lo = spec.arrival_prob(apair[1], bpair[1], gs, ga)
-        return hi - lo
-
-    for (a_hi, a_lo), (b_hi, b_lo) in itertools.product(pairs_a, pairs_b):
-        for gs, ga, gps, gpa in itertools.product(gains, repeat=4):
-            num = (
-                mu[gains.index(ga)]
-                * mu[gains.index(gs)]
-                * qdiff((a_hi, a_lo), (b_hi, b_lo), gs, ga)
-            )
-            den = (
-                mu[gains.index(gpa)]
-                * mu[gains.index(gps)]
-                * qdiff((a_hi, a_lo), (b_hi, b_lo), gps, gpa)
-            )
-            key = (gs, ga, gps, gpa, a_hi, a_lo, b_hi, b_lo)
-            if num <= 0 and cond:
-                cond = False
-                witness = key
-            if den == 0.0:
-                excluded.append(key)
-                continue
-            values[key] = float(num / den)
+    inc, keys = _increments(spec)
+    num = inc[:, :, :, :, None, None]
+    den = inc[:, :, None, None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    zero = np.broadcast_to(den == 0.0, ratio.shape).ravel().tolist()
+    values = {key: r for key, r, z in zip(keys, ratio.ravel().tolist(), zero) if not z}
     if not values:
         raise ValueError("all denominators vanished; channel is degenerate")
+    bad = np.flatnonzero(np.broadcast_to(num <= 0, ratio.shape))
     return EpsilonReport(
         epsilon_values=values,
         epsilon_max=max(values.values()),
-        condition_holds=cond,
-        witness=witness,
-        excluded=tuple(excluded),
+        condition_holds=bad.size == 0,
+        witness=keys[bad[0]] if bad.size else None,
+        excluded=tuple(key for key, z in zip(keys, zero) if z),
     )
 
 
@@ -309,7 +278,6 @@ def check_monotone_sufficient_condition(
 
 
 def _comparable(s1, s2) -> bool:
-    # State-block restriction of the LatticePoint order.
     return s1.tau > s2.tau and s1.g_s > s2.g_s and s1.g_a > s2.g_a
 
 
@@ -364,7 +332,7 @@ def reward_cancellation_residual(spec: GameSpec):
     sum in exact rational arithmetic over the stored float parameters --
     the cancellation is algebraic for the separable reward, so a nonzero
     there means the reward form itself is broken. The second is the worst
-    residue of the same sum over ``reward_attacker``'s float outputs.
+    residue of the same sum over the float rewards of ``spec.compiled``.
     """
     tt = [Fraction(t) for t in spec.steady.trace_table]
     a_s = Fraction(spec.alpha_s)
@@ -373,27 +341,20 @@ def reward_cancellation_residual(spec: GameSpec):
     def r_exact(m, a, b):
         return tt[m] + a_s * Fraction(b) - a_a * Fraction(a)
 
-    worst = 0.0
-    exact = True
-    for m in range(spec.tau_max):
-        for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2):
-            for b_lo, b_hi in itertools.combinations(spec.actions_sensor, 2):
-                d_exact = (
-                    r_exact(m + 1, a_hi, b_hi)
-                    + r_exact(m, a_lo, b_lo)
-                    - r_exact(m + 1, a_lo, b_lo)
-                    - r_exact(m, a_hi, b_hi)
-                )
-                if d_exact != 0:
-                    exact = False
-                d_float = (
-                    reward_attacker(spec, m + 1, a_hi, b_hi)
-                    + reward_attacker(spec, m, a_lo, b_lo)
-                    - reward_attacker(spec, m + 1, a_lo, b_lo)
-                    - reward_attacker(spec, m, a_hi, b_hi)
-                )
-                worst = max(worst, abs(d_float))
-    return exact, worst
+    exact = all(
+        r_exact(m + 1, a_hi, b_hi) + r_exact(m, a_lo, b_lo)
+        - r_exact(m + 1, a_lo, b_lo) - r_exact(m, a_hi, b_hi) == 0
+        for m in range(spec.tau_max)
+        for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2)
+        for b_lo, b_hi in itertools.combinations(spec.actions_sensor, 2)
+    )
+    r = spec.compiled.reward[:: spec.compiled.n_pairs]  # [tau, a, b]
+    pa = _action_pairs(len(spec.actions_attacker))
+    pb = _action_pairs(len(spec.actions_sensor))
+    hh = r[:, pa[:, 1, None], pb[None, :, 1]]
+    ll = r[:, pa[:, 0, None], pb[None, :, 0]]
+    d_float = hh[1:] + ll[:-1] - ll[1:] - hh[:-1]
+    return exact, float(np.abs(d_float).max()) if d_float.size else 0.0
 
 
 def continuation_difference_positive(spec: GameSpec, values: np.ndarray):
@@ -405,28 +366,15 @@ def continuation_difference_positive(spec: GameSpec, values: np.ndarray):
     to be strictly positive. Returns ``(ok, witness)``.
     """
     vbar = gain_averaged_values(spec, values)
-    gains = spec.channel.gains
-    mu = spec.mu
-    ok = True
-    witness = None
+    inc, keys = _increments(spec)
     for m in range(spec.tau_max - 1):
         gap1 = vbar[0] - vbar[m + 1]
         gap2 = vbar[0] - vbar[m + 2]
-        for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2):
-            for b_lo, b_hi in itertools.combinations(spec.actions_sensor, 2):
-                for gs, ga, gps, gpa in itertools.product(gains, repeat=4):
-                    d = spec.arrival_prob(a_hi, b_hi, gs, ga) - spec.arrival_prob(
-                        a_lo, b_lo, gs, ga
-                    )
-                    dp = spec.arrival_prob(a_hi, b_hi, gps, gpa) - spec.arrival_prob(
-                        a_lo, b_lo, gps, gpa
-                    )
-                    u = mu[gains.index(gs)] * mu[gains.index(ga)]
-                    up = mu[gains.index(gps)] * mu[gains.index(gpa)]
-                    val = up * dp * gap2 - u * d * gap1
-                    if val <= 0:
-                        return False, (m, gs, ga, gps, gpa, a_hi, a_lo, b_hi, b_lo, val)
-    return ok, witness
+        val = inc[:, :, None, None, :, :] * gap2 - inc[:, :, :, :, None, None] * gap1
+        bad = np.flatnonzero(val <= 0)
+        if bad.size:
+            return False, (m,) + keys[bad[0]] + (val.flat[bad[0]],)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

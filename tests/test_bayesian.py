@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import per_tuple_reference as ref
 from jamgame.bayesian import (
     BayesianSpec,
     TypeStrategy,
@@ -16,6 +19,7 @@ from jamgame.equilibria import zero_sum_value, StageGame
 from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import gain_averaged_values
+from spec_strategies import game_specs
 
 
 def paper_game(**kw):
@@ -50,14 +54,15 @@ def lookahead_spec(game=None, m=0):
 class TestSpecConstruction:
     def test_stage_mode_payoff_ignores_gains(self):
         spec = bayesian_from_game(paper_game(), holding_time=1)
-        a = spec.payoff(1, 1.0, 2.0, 0.6, 0.8)
-        b = spec.payoff(1, 1.0, 2.0, 0.8, 0.6)
+        # payoff[attacker type, sensor type, a, b]: (g_s, g_a) = (0.6, 0.8), then swapped
+        a = spec.payoff[1, 0, 0, 0]
+        b = spec.payoff[0, 1, 0, 0]
         assert a == b
 
     def test_lookahead_payoff_depends_on_gains(self):
         spec = lookahead_spec()
-        a = spec.payoff(0, 6.0, 2.0, 0.6, 0.8)
-        b = spec.payoff(0, 6.0, 2.0, 0.8, 0.6)
+        a = spec.payoff[1, 0, 1, 0]
+        b = spec.payoff[0, 1, 1, 0]
         assert a != b
 
     def test_lookahead_requires_values(self):
@@ -117,7 +122,6 @@ class TestExpandMatrix:
             types=spec0.types,
             belief=belief,
             payoff=spec0.payoff,
-            holding_time=0,
         )
         game = expand_matrix(conc)
         # rows enumerate (f(lo), f(hi)); only f(hi) matters now, so rows
@@ -136,7 +140,7 @@ class TestExpandMatrix:
                 for ai, a in enumerate(spec.actions_attacker):
                     for bi, b in enumerate(spec.actions_sensor):
                         total += (w * res.attacker.probs[ti, ai] * res.sensor.probs[tj, bi]
-                                  * spec.payoff(spec.holding_time, a, b, ts, ta))
+                                  * spec.payoff[ti, tj, ai, bi])
         assert total == pytest.approx(res.value_attacker, abs=1e-9)
 
 
@@ -173,8 +177,8 @@ class TestSolveBayesian:
             actions_sensor=spec.actions_sensor,
             types=spec.types,
             belief=spec.belief,
-            payoff=sym_payoff,
-            holding_time=0,
+            payoff=ref.payoff_array(spec.types, spec.actions_attacker, spec.actions_sensor,
+                                    sym_payoff),
         )
         game = expand_matrix(sym)
         # swapping types permutes pure strategies (f0,f1) -> (f1,f0):
@@ -214,8 +218,7 @@ class TestDeviationGap:
             actions_sensor=(2.0, 5.0),
             types=(0.6, 0.8),
             belief=np.full((2, 2), 0.25),
-            payoff=payoff,
-            holding_time=0,
+            payoff=ref.payoff_array((0.6, 0.8), (1.0, 6.0), (2.0, 5.0), payoff),
         )
         blind = TypeStrategy(np.tile([0.5, 0.5], (2, 1)))
         gap = bayes_deviation_gap(spec, blind, blind)
@@ -229,8 +232,7 @@ class TestDeviationGap:
             actions_sensor=(2.0, 5.0),
             types=(0.6, 0.8),
             belief=np.full((2, 2), 0.25),
-            payoff=lambda m, a, b, gs, ga: 3.0,
-            holding_time=0,
+            payoff=np.full((2, 2, 2, 2), 3.0),
         )
         s = TypeStrategy(np.tile([0.3, 0.7], (2, 1)))
         assert bayes_deviation_gap(spec, s, s) == 0.0
@@ -246,3 +248,76 @@ class TestCsvEmission:
         assert rows[0] == "action,type=0.6,type=0.8"
         assert len(rows) == 3
         assert rows[1].split(",")[0] == "1"
+
+
+class TestPayoffArray:
+    def test_shape_checked(self):
+        spec = bayesian_from_game(paper_game(), holding_time=0)
+        with pytest.raises(ValueError, match="shape"):
+            BayesianSpec(actions_attacker=spec.actions_attacker,
+                         actions_sensor=spec.actions_sensor, types=spec.types,
+                         belief=spec.belief, payoff=spec.payoff[:, :, :1])
+
+    def test_non_finite_rejected(self):
+        payoff = np.full((2, 2, 2, 2), 3.0)
+        payoff[1, 0, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            BayesianSpec(actions_attacker=(1.0, 6.0), actions_sensor=(2.0, 5.0),
+                         types=(0.6, 0.8), belief=np.full((2, 2), 0.25), payoff=payoff)
+
+
+def _assert_matches_per_tuple_loops(game, m, belief_mode, payoff_mode, values, rng):
+    spec = bayesian_from_game(game, holding_time=m, belief_mode=belief_mode,
+                              payoff_mode=payoff_mode, holding_values=values)
+    payoff = ref.payoff_function(game, payoff_mode, values)
+    want = ref.payoff_array(spec.types, spec.actions_attacker, spec.actions_sensor, payoff, m)
+    assert spec.payoff.tobytes() == want.tobytes()
+    assert expand_matrix(spec).payoff_p1.tobytes() == ref.expand_matrix(spec, payoff, m).tobytes()
+    k = len(spec.types)
+    na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
+    for x, y in (
+        (rng.dirichlet(np.ones(na), k), rng.dirichlet(np.ones(nb), k)),
+        (np.eye(na)[rng.integers(na, size=k)], np.eye(nb)[rng.integers(nb, size=k)]),
+    ):
+        s_a, s_s = TypeStrategy(x), TypeStrategy(y)
+        got = bayes_deviation_gap(spec, s_a, s_s)
+        assert repr(got) == repr(ref.bayes_deviation_gap(spec, payoff, m, s_a, s_s))
+
+
+class TestMatchesPerTupleLoops:
+    """The array code reproduces the per-tuple callable expansion bit for bit."""
+
+    @pytest.mark.parametrize("profile", ["default", "monotone"])
+    def test_shipped_profiles(self, profile, default_config, monotone_config):
+        cfg = default_config if profile == "default" else monotone_config
+        game = cfg.game
+        oracle = shapley_value_iteration(game)
+        values = gain_averaged_values(game, np.array([p.value_p1 for p in oracle.policies]))
+        rng = np.random.default_rng(3)
+        for m in range(game.tau_max + 1):
+            for belief_mode in ("stationary", "kernel"):
+                for payoff_mode in ("stage", "lookahead"):
+                    _assert_matches_per_tuple_loops(game, m, belief_mode, payoff_mode, values, rng)
+
+    def test_zero_belief_entries_skipped(self):
+        # Kernel beliefs put no mass on the (0.8, 0.8) type pair here.
+        game = paper_game(channel=ChannelSpec(gains=(0.6, 0.8), kernel=[[0.5, 0.5], [1.0, 0.0]],
+                                              sigma2=0.5))
+        values = np.linspace(1.0, 3.0, game.tau_max + 1)
+        rng = np.random.default_rng(4)
+        for m in range(game.tau_max + 1):
+            for payoff_mode in ("stage", "lookahead"):
+                _assert_matches_per_tuple_loops(game, m, "kernel", payoff_mode, values, rng)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(game=game_specs(), data=st.data())
+    def test_random_games(self, game, data):
+        k = game.channel.n_gains
+        assume(max(len(game.actions_attacker), len(game.actions_sensor)) ** k <= 64)
+        m = data.draw(st.integers(0, game.tau_max))
+        values = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=game.tau_max + 1,
+                                             max_size=game.tau_max + 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for belief_mode in ("stationary", "kernel"):
+            for payoff_mode in ("stage", "lookahead"):
+                _assert_matches_per_tuple_loops(game, m, belief_mode, payoff_mode, values, rng)

@@ -9,11 +9,10 @@ from scipy import integrate
 
 from jamgame.channel import (
     ChannelSpec,
+    draw_index,
     packet_arrival_prob,
-    sample_arrival,
     sinr,
     stationary_distribution,
-    step_gain,
 )
 
 
@@ -164,36 +163,26 @@ class TestPacketArrivalProb:
 
 
 class TestSampling:
+    """``draw_index`` on a kernel row draws the next block's gain."""
+
     def test_deterministic_kernel_row(self):
         spec = paper_channel(kernel=[[1.0 - 1e-13, 1e-13], [0.5, 0.5]])
+        cdf = np.cumsum(spec.kernel[0])
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert step_gain(spec, 0.6, rng) == 0.6
+            assert draw_index(cdf, rng.random()) == 0
 
     def test_step_gain_frequency(self):
-        spec = paper_channel()
+        cdf = np.cumsum(paper_channel().kernel[0])
         rng = np.random.default_rng(11)
-        hits = sum(step_gain(spec, 0.6, rng) == 0.6 for _ in range(10**5))
+        hits = sum(draw_index(cdf, rng.random()) == 0 for _ in range(10**5))
         assert abs(hits / 10**5 - 0.5) < 0.01
 
     def test_seed_replay_identical(self):
         spec = paper_channel(kernel=[[0.3, 0.7], [0.6, 0.4]])
+        cdf = np.cumsum(spec.kernel[1])
         rng = np.random.default_rng(5)
-        seq1 = [step_gain(spec, 0.8, rng) for _ in range(100)]
+        seq1 = [draw_index(cdf, rng.random()) for _ in range(100)]
         rng = np.random.default_rng(5)
-        seq2 = [step_gain(spec, 0.8, rng) for _ in range(100)]
+        seq2 = [draw_index(cdf, rng.random()) for _ in range(100)]
         assert seq1 == seq2
-
-    def test_arrival_edge_cases(self):
-        rng = np.random.default_rng(1)
-        assert all(sample_arrival(1.0, rng) == 1 for _ in range(20))
-        assert all(sample_arrival(0.0, rng) == 0 for _ in range(20))
-
-    def test_arrival_law_of_large_numbers(self):
-        rng = np.random.default_rng(2)
-        mean = np.mean([sample_arrival(0.3, rng) for _ in range(10**5)])
-        assert abs(mean - 0.3) < 0.01
-
-    def test_arrival_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            sample_arrival(1.2, np.random.default_rng(0))

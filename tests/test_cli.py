@@ -173,6 +173,20 @@ class TestEquilibriumCommand:
     def test_missing_file_exit_2(self, capsys):
         assert main(["equilibrium", "/definitely/not/here.txt"]) == 2
 
+    @pytest.mark.parametrize("text", ["1 2\n3\n", "1 x\n2 3\n", "1 nan\n2 3\n", ""],
+                             ids=["ragged", "non_numeric", "nan", "empty"])
+    def test_malformed_matrix_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["equilibrium", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: matrix file")
+
+    def test_blank_line_of_spaces_separates_blocks(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("3 0\n5 1\n  \t\n3 5\n0 1\n")
+        assert main(["equilibrium", str(path)]) == 0
+        assert "stage game 2x2, zero-sum: False" in capsys.readouterr().out
+
 
 class TestMonotoneCommand:
     def test_report_written(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ from jamgame.estimation import (
     ConvergenceError,
     SystemModel,
     boundedness_threshold,
-    holding_time_trace,
     lyapunov_step,
     riccati_step,
     steady_state_covariance,
@@ -152,18 +151,13 @@ class TestTraceTable:
         summary = steady_state_covariance(model, tau_max=6)
         p = np.array(summary.p_bar)
         for m in range(7):
-            assert holding_time_trace(summary, m) == float(np.trace(p))
+            assert summary.trace_table[m] == float(np.trace(p))
             p = lyapunov_step(p, model)
 
     def test_strictly_increasing_for_unstable_plant(self):
         summary = steady_state_covariance(scalar_model(), tau_max=5)
         diffs = np.diff(summary.trace_table)
         assert (diffs > 0).all()
-
-    def test_out_of_range_holding_time(self):
-        summary = steady_state_covariance(scalar_model(), tau_max=2)
-        with pytest.raises(ValueError):
-            holding_time_trace(summary, 3)
 
 
 class TestBoundednessThreshold:

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import per_tuple_reference as ref
 from jamgame.channel import ChannelSpec
 from jamgame.estimation import SystemModel
 from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import (
-    LatticePoint,
     check_monotone_policy,
     check_q_supermodular,
     check_supermodular,
@@ -21,6 +23,7 @@ from jamgame.structure import (
     render_report,
     structure_report,
 )
+from spec_strategies import game_specs
 
 
 def example2_spec():
@@ -36,23 +39,6 @@ def example2_spec():
                             sigma2=0.5, alpha=1.0),
         model=SystemModel(A=[[1.2]], C=[[0.7]], Q=[[0.8]], R=[[0.8]], Pi0=[[0.8]]),
     )
-
-
-class TestLatticePoint:
-    def test_strict_dominance_requires_every_coordinate(self):
-        hi = LatticePoint(2, 0.8, 0.8, 9.0, 7.0)
-        lo = LatticePoint(1, 0.6, 0.6, 3.0, 2.0)
-        tie = LatticePoint(1, 0.8, 0.6, 3.0, 2.0)
-        assert hi.dominates(lo)
-        assert not lo.dominates(hi)
-        assert not hi.dominates(tie)  # shared g_s coordinate blocks it
-        assert not LatticePoint(2, 0.8, 0.8, 9.0, 2.0).dominates(lo)
-
-    def test_join_meet_are_componentwise(self):
-        x = LatticePoint(2, 0.6, 0.8, 9.0, 2.0)
-        y = LatticePoint(1, 0.8, 0.6, 3.0, 7.0)
-        assert x.join(y) == LatticePoint(2, 0.8, 0.8, 9.0, 7.0)
-        assert x.meet(y) == LatticePoint(1, 0.6, 0.6, 3.0, 2.0)
 
 
 class TestEpsilonMax:
@@ -289,3 +275,39 @@ class TestPipelineReport:
         ok1, wit1 = check_q_supermodular(spec, vi.tables.q1)
         assert ok2
         assert not ok1 and wit1 is not None
+
+
+def _assert_matches_per_tuple_loops(spec, values):
+    """Ratio bound, continuation difference and reward residue against the loops."""
+    values = np.asarray(values, dtype=float)
+    if min(len(spec.actions_attacker), len(spec.actions_sensor)) >= 2:
+        want = ref.epsilon_max(spec)
+        rep = epsilon_max(spec)
+        assert repr(list(rep.epsilon_values.items())) == repr(list(want[0].items()))
+        assert repr(rep.epsilon_max) == repr(want[1])
+        assert (rep.condition_holds, rep.witness, rep.excluded) == want[2:]
+    got = continuation_difference_positive(spec, values)
+    assert repr(got) == repr(ref.continuation_difference_positive(
+        spec, gain_averaged_values(spec, values)))
+    assert repr(reward_cancellation_residual(spec)[1]) == repr(ref.reward_float_residue(spec))
+
+
+class TestMatchesPerTupleLoops:
+    """The compiled-model checks reproduce the per-tuple erfc loops bit for bit."""
+
+    @pytest.mark.parametrize("profile", ["default", "monotone", "example2"])
+    def test_shipped_profiles(self, profile, default_config, monotone_config):
+        spec = {"default": default_config.game, "monotone": monotone_config.game,
+                "example2": example2_spec()}[profile]
+        oracle = shapley_value_iteration(spec)
+        for v in ([p.value_p2 for p in oracle.policies], [p.value_p1 for p in oracle.policies]):
+            _assert_matches_per_tuple_loops(spec, v)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=game_specs(), data=st.data())
+    def test_random_games(self, spec, data):
+        # Values falling in holding time make the continuation scan run past m = 0.
+        drop = data.draw(st.lists(st.floats(0.0, 20.0), min_size=spec.tau_max + 1,
+                                  max_size=spec.tau_max + 1))
+        values = -np.repeat(np.cumsum(drop), spec.channel.n_gains ** 2)
+        _assert_matches_per_tuple_loops(spec, values)
