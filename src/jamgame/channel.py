@@ -28,41 +28,9 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-
-    def reach(mat):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(mat[u])[0]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(int(v))
-        return seen
-
-    return len(reach(adj)) == n and len(reach(adj.T)) == n
-
-
-def _aperiodic(adj: np.ndarray) -> bool:
-    # Period of a strongly connected graph: gcd over all edges (u, v) of
-    # level(u) + 1 - level(v), levels from a BFS rooted anywhere.
-    n = adj.shape[0]
-    level = [-1] * n
-    level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in np.nonzero(adj[u])[0]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(adj[u])[0]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return g == 1
+def _all_walks(adj: np.ndarray, steps: int) -> bool:
+    """Whether every ordered pair of nodes is joined by a walk of exactly ``steps`` edges."""
+    return bool(np.linalg.matrix_power(adj, steps).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +50,8 @@ class ChannelSpec:
         gains = tuple(float(g) for g in self.gains)
         if not gains:
             raise ValueError("gains must be nonempty")
-        if any(g <= 0 for g in gains):
-            raise ValueError("gains must be positive")
+        if not all(0 < g < math.inf for g in gains):
+            raise ValueError("gains must be positive and finite")
         if any(b <= a for a, b in zip(gains, gains[1:])):
             raise ValueError("gains must be strictly increasing")
         object.__setattr__(self, "gains", gains)
@@ -91,21 +59,23 @@ class ChannelSpec:
         l = len(gains)
         if kernel.shape != (l, l):
             raise ValueError(f"kernel must be {l}x{l}, got {kernel.shape}")
-        if kernel.min() < 0:
+        if not (kernel >= 0).all():
             raise ValueError("kernel entries must be nonnegative")
         if np.abs(kernel.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("kernel rows must sum to 1")
+        # Boolean walk counts: irreducible iff (I + A)^(l-1) > 0; an
+        # irreducible A is aperiodic iff A^((l-1)^2 + 1) > 0 (Wielandt).
         adj = kernel > 0
-        if not _strongly_connected(adj):
+        if not _all_walks(adj | np.eye(l, dtype=bool), l - 1):
             raise ValueError("kernel is not irreducible")
-        if not _aperiodic(adj):
+        if not _all_walks(adj, (l - 1) ** 2 + 1):
             raise ValueError("kernel is periodic")
         kernel.flags.writeable = False
         object.__setattr__(self, "kernel", kernel)
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def n_gains(self) -> int:

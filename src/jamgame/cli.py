@@ -4,8 +4,9 @@ Subcommands: ``steady`` (plant fixed point), ``solve`` (value-iteration
 oracle), ``learn`` (Nash Q-learning), ``equilibrium`` (one stage game
 from a matrix file), ``monotone`` (structure report), ``bayes``
 (incomplete-information strategies) and ``simulate`` (closed-loop
-rollout under stored policies). Exit codes: 0 success, 1 runtime/solver
-failure, 2 bad config or arguments.
+rollout under stored policies). Exit codes: 0 success, 1 solver failure
+(``RuntimeError`` or ``LinAlgError``), 2 bad config, arguments or files.
+Any other exception is a bug and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -172,7 +173,10 @@ def cmd_monotone(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     oracle = nashq.shapley_value_iteration(cfg.game)
-    report = structure.structure_report(cfg.game, oracle)
+    try:
+        report = structure.structure_report(cfg.game, oracle)
+    except ValueError as exc:
+        raise ConfigError(f"monotone: {exc}") from exc
     print(structure.render_report(report))
     _write(os.path.join(out, "monotone_report.json"), structure.report_to_json(report))
     return 0
@@ -186,13 +190,16 @@ def cmd_bayes(args) -> int:
         oracle = nashq.shapley_value_iteration(cfg.game)
         v1 = np.array([p.value_p1 for p in oracle.policies])
         values = structure.gain_averaged_values(cfg.game, v1)
-    bspec = bayesian.bayesian_from_game(
-        cfg.game,
-        holding_time=cfg.bayes_holding_time,
-        belief_mode=cfg.bayes_belief_mode,
-        payoff_mode=cfg.bayes_payoff_mode,
-        holding_values=values,
-    )
+    try:
+        bspec = bayesian.bayesian_from_game(
+            cfg.game,
+            holding_time=cfg.bayes_holding_time,
+            belief_mode=cfg.bayes_belief_mode,
+            payoff_mode=cfg.bayes_payoff_mode,
+            holding_values=values,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bayes: {exc}") from exc
     res = bayesian.solve_bayesian(bspec)
     print(f"game value (attacker): {res.value_attacker!r}")
     print(f"deviation gap: {res.deviation_gap:.3g}")
@@ -287,10 +294,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # solver/runtime failures
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # solver failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,10 +54,8 @@ def _integer(doc, path, required=True, default=None):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated bundle of model, channel, game, learning and Bayes settings."""
+    """Validated game (with its plant and channel), learning and Bayes settings."""
 
-    model: SystemModel
-    channel: ChannelSpec
     game: GameSpec
     learn: LearnConfig
     bayes_holding_time: int
@@ -135,8 +133,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(out_dir, str):
         raise ConfigError("output_dir must be a string")
     return ExperimentConfig(
-        model=model,
-        channel=channel,
         game=game,
         learn=learn,
         bayes_holding_time=bayes_m,

@@ -16,6 +16,7 @@ reference reward and law.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -158,15 +159,15 @@ class GameSpec:
             acts = tuple(float(v) for v in getattr(self, name))
             if not acts:
                 raise ValueError(f"{name} must be nonempty")
-            if any(v <= 0 for v in acts):
-                raise ValueError(f"{name} must be positive")
+            if not all(0 < v < math.inf for v in acts):
+                raise ValueError(f"{name} must be positive and finite")
             if any(y <= x for x, y in zip(acts, acts[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, acts)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.alpha_s < 0 or self.alpha_a < 0:
-            raise ValueError("reward weights must be nonnegative")
+        if not (0 <= self.alpha_s < math.inf and 0 <= self.alpha_a < math.inf):
+            raise ValueError("reward weights must be nonnegative and finite")
         if self.tau_max < 1:
             raise ValueError("tau_max must be a positive integer")
         if self.gain_mode not in GAIN_MODES:
@@ -210,7 +211,7 @@ class GameSpec:
                 f"worst-case arrival probability {q_min:.4f} does not exceed "
                 f"1 - 1/rho(A)^2 = {threshold:.4f}; the attacker can force an "
                 "unbounded estimation error",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -338,9 +339,8 @@ def simulate_trajectory(
     policy_s,
     horizon: int,
     rng: np.random.Generator,
-    start: GameState = None,
 ) -> Trajectory:
-    """Roll the closed loop forward under fixed per-state mixed policies.
+    """Roll the closed loop forward from state index 0 under fixed per-state policies.
 
     ``policy_a``/``policy_s`` are arrays of shape ``(n_states, n_actions)``
     whose rows are probability vectors. Records the pre-transition state,
@@ -354,8 +354,7 @@ def simulate_trajectory(
         raise ValueError("policies must cover every state")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    si = 0 if start is None else spec.state_index(start)
-    steps = np.array(list(play(spec, fixed_policy(pa, ps), si, horizon, rng)))
+    steps = np.array(list(play(spec, fixed_policy(pa, ps), 0, horizon, rng)))
     si, ai, bi, nxt = steps.T
     model = spec.compiled
     tau = si // model.n_pairs

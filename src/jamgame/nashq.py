@@ -23,6 +23,7 @@ form (pure saddle scan, 2x2 mixing formula) or the LP's strategies, and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -90,8 +91,8 @@ class LearnConfig:
             raise ValueError("seed must be nonnegative")
         if self.steps_per_episode <= 0:
             raise ValueError("steps_per_episode must be positive")
-        if self.lr_numerator <= 0 or self.lr_offset <= 0:
-            raise ValueError("learning-rate parameters must be positive")
+        if not (0 < self.lr_numerator < math.inf and 0 < self.lr_offset < math.inf):
+            raise ValueError("learning-rate parameters must be positive and finite")
         if self.lr_numerator > self.lr_offset:
             raise ValueError("lr_numerator must not exceed lr_offset (rate must stay in (0,1])")
         if not 0.0 <= self.exploration <= 1.0:

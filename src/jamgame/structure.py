@@ -16,7 +16,9 @@ continuation difference share one table of weighted arrival-probability
 increments, and the reward cancellation's float residue comes from the
 compiled rewards. Its exact check evaluates the alternating sum in
 rational arithmetic over the stored float parameters, so "equals zero"
-is meaningful rather than a round-off accident.
+is meaningful rather than a round-off accident. The order checks scan
+one point at a time against the points it strictly dominates, so memory
+stays linear in the number of states.
 """
 
 from __future__ import annotations
@@ -154,7 +156,13 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
 # Supermodularity
 # ---------------------------------------------------------------------------
 
-def check_supermodular(table: np.ndarray, n_state_axes: int, strict: bool = True):
+def _strictly_below(points: np.ndarray, i: int) -> np.ndarray:
+    """Indices, ascending, of the rows of ``points`` that row ``i`` strictly
+    dominates; column-major ``points`` make the row reduction several times faster."""
+    return np.flatnonzero((points < points[i]).all(axis=1))
+
+
+def check_supermodular(table: np.ndarray, n_state_axes: int):
     """Four-point inequality over (state block) x (action block) crossings.
 
     Axes of ``table`` must be ordered coordinates, the first
@@ -162,31 +170,29 @@ def check_supermodular(table: np.ndarray, n_state_axes: int, strict: bool = True
     block. For every pair of points with the state block strictly higher
     on one side and the action block strictly higher on the other,
     requires ``f(join) + f(meet) > f(x) + f(y)``. Returns ``(ok,
-    witness)`` where the witness names the first violating pair.
+    witness)`` where the witness names the first violating pair, in
+    row-major order of (higher state, lower state, higher action, lower).
     """
     table = np.asarray(table, dtype=float)
-    ndim = table.ndim
-    if not 0 < n_state_axes < ndim:
+    if not 0 < n_state_axes < table.ndim:
         raise ValueError("state block must be a proper prefix of the axes")
-    state_ranges = [range(s) for s in table.shape[:n_state_axes]]
-    act_ranges = [range(s) for s in table.shape[n_state_axes:]]
-    for s_hi in itertools.product(*state_ranges):
-        for s_lo in itertools.product(*state_ranges):
-            if not all(h > l for h, l in zip(s_hi, s_lo)):
-                continue
-            for a_hi in itertools.product(*act_ranges):
-                for a_lo in itertools.product(*act_ranges):
-                    if not all(h > l for h, l in zip(a_hi, a_lo)):
-                        continue
-                    join = table[s_hi + a_hi]
-                    meet = table[s_lo + a_lo]
-                    x = table[s_hi + a_lo]
-                    y = table[s_lo + a_hi]
-                    lhs = join + meet
-                    rhs = x + y
-                    bad = lhs <= rhs if strict else lhs < rhs
-                    if bad:
-                        return False, (s_hi + a_lo, s_lo + a_hi, float(lhs - rhs))
+    # Every index of each block, one row each in row-major order, column-major.
+    states, acts = (np.indices(shape).reshape(len(shape), -1).T
+                    for shape in (table.shape[:n_state_axes], table.shape[n_state_axes:]))
+    flat = table.reshape(len(states), len(acts))
+    # Every (higher, lower) action pair, higher action outermost.
+    pairs = [(h, l) for h in range(len(acts)) for l in _strictly_below(acts, h)]
+    a_hi, a_lo = np.array(pairs, dtype=int).reshape(-1, 2).T
+    for i in range(len(states)):
+        lo = _strictly_below(states, i)
+        lhs = flat[i, a_hi] + flat[lo][:, a_lo]  # join + meet
+        rhs = flat[i, a_lo] + flat[lo][:, a_hi]  # x + y
+        bad = np.flatnonzero(lhs <= rhs)
+        if bad.size:
+            r, c = divmod(int(bad[0]), a_hi.size)
+            wit_hi = tuple(states[i].tolist() + acts[a_lo[c]].tolist())
+            wit_lo = tuple(states[lo[r]].tolist() + acts[a_hi[c]].tolist())
+            return False, (wit_hi, wit_lo, float(lhs[r, c] - rhs[r, c]))
     return True, None
 
 
@@ -206,16 +212,15 @@ def game_q_lattice(spec: GameSpec, q: np.ndarray, max_tau: int = None) -> np.nda
     return out[:, ::-1, ::-1, :, :]
 
 
-def check_q_supermodular(spec: GameSpec, q: np.ndarray, exclude_cap: bool = True):
+def check_q_supermodular(spec: GameSpec, q: np.ndarray):
     """Supermodularity of a per-state Q-table on the game lattice.
 
-    By default the saturated holding time ``tau_max`` is excluded: failures
-    there stay in place instead of advancing, which breaks the four-point
+    The saturated holding time ``tau_max`` is excluded: failures there
+    stay in place instead of advancing, which breaks the four-point
     structure the sufficient condition speaks about (its ratio test only
     reaches ``m + 2 = tau_max``).
     """
-    max_tau = spec.tau_max - 1 if exclude_cap else None
-    return check_supermodular(game_q_lattice(spec, q, max_tau=max_tau), n_state_axes=3)
+    return check_supermodular(game_q_lattice(spec, q, max_tau=spec.tau_max - 1), n_state_axes=3)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +282,6 @@ def check_monotone_sufficient_condition(
     )
 
 
-def _comparable(s1, s2) -> bool:
-    return s1.tau > s2.tau and s1.g_s > s2.g_s and s1.g_a > s2.g_a
-
-
 def check_monotone_policy(
     spec: GameSpec, policies, min_tau: int = 0
 ) -> MonotoneReport:
@@ -291,28 +292,27 @@ def check_monotone_policy(
     ways: expected action and max-probability action; the check requires
     the summary of the dominating state to be strictly larger (argmax
     summary: at least as large, strictly in tau-spanning chains is not
-    enforced -- ties are reported as witnesses). Pairs below ``min_tau``
-    are skipped.
+    enforced -- ties are reported as witnesses). Pairs with either state
+    below ``min_tau`` are skipped. Witnesses ``(i, j)`` run over the
+    dominating state ``i``, then the dominated ``j``, in state order.
     """
-    states = spec.states
     acts_a = np.array(spec.actions_attacker)
     acts_b = np.array(spec.actions_sensor)
     exp_a = np.array([float(p.strat_p1.probs @ acts_a) for p in policies])
     exp_b = np.array([float(p.strat_p2.probs @ acts_b) for p in policies])
     arg_a = np.array([acts_a[int(np.argmax(p.strat_p1.probs))] for p in policies])
     arg_b = np.array([acts_b[int(np.argmax(p.strat_p2.probs))] for p in policies])
+    points = np.array([(s.tau, s.g_s, s.g_a) for s in spec.states])
+    keep = np.flatnonzero(points[:, 0] >= min_tau)
+    points = np.asfortranarray(points[keep])
     exp_wit = []
     arg_wit = []
-    for i, hi in enumerate(states):
-        if hi.tau < min_tau:
-            continue
-        for j, lo in enumerate(states):
-            if lo.tau < min_tau or not _comparable(hi, lo):
-                continue
-            if not (exp_a[i] > exp_a[j] and exp_b[i] > exp_b[j]):
-                exp_wit.append((i, j))
-            if not (arg_a[i] >= arg_a[j] and arg_b[i] >= arg_b[j]):
-                arg_wit.append((i, j))
+    for r, i in enumerate(keep.tolist()):
+        lo = keep[_strictly_below(points, r)]
+        exp_bad = ~((exp_a[i] > exp_a[lo]) & (exp_b[i] > exp_b[lo]))
+        arg_bad = ~((arg_a[i] >= arg_a[lo]) & (arg_b[i] >= arg_b[lo]))
+        exp_wit += [(i, j) for j in lo[exp_bad].tolist()]
+        arg_wit += [(i, j) for j in lo[arg_bad].tolist()]
     return MonotoneReport(
         expected_ok=not exp_wit,
         expected_witnesses=tuple(exp_wit),
@@ -325,6 +325,16 @@ def check_monotone_policy(
 # Reward-difference identities
 # ---------------------------------------------------------------------------
 
+def _alternating_sum(r: np.ndarray) -> np.ndarray:
+    """``r(m+1, hi) + r(m, lo) - r(m+1, lo) - r(m, hi)`` over a ``[tau, a, b]``
+    table, per ``[m, attacker pair, sensor pair]`` with both pairs raised together."""
+    pa = _action_pairs(r.shape[1])
+    pb = _action_pairs(r.shape[2])
+    hh = r[:, pa[:, 1, None], pb[None, :, 1]]
+    ll = r[:, pa[:, 0, None], pb[None, :, 0]]
+    return hh[1:] + ll[:-1] - ll[1:] - hh[:-1]
+
+
 def reward_cancellation_residual(spec: GameSpec):
     """Alternating reward sum over (m, m+1) x (low, high) action pairs.
 
@@ -334,26 +344,14 @@ def reward_cancellation_residual(spec: GameSpec):
     there means the reward form itself is broken. The second is the worst
     residue of the same sum over the float rewards of ``spec.compiled``.
     """
-    tt = [Fraction(t) for t in spec.steady.trace_table]
-    a_s = Fraction(spec.alpha_s)
-    a_a = Fraction(spec.alpha_a)
-
-    def r_exact(m, a, b):
-        return tt[m] + a_s * Fraction(b) - a_a * Fraction(a)
-
-    exact = all(
-        r_exact(m + 1, a_hi, b_hi) + r_exact(m, a_lo, b_lo)
-        - r_exact(m + 1, a_lo, b_lo) - r_exact(m, a_hi, b_hi) == 0
-        for m in range(spec.tau_max)
-        for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2)
-        for b_lo, b_hi in itertools.combinations(spec.actions_sensor, 2)
+    tt, acts_a, acts_b = (
+        np.array([Fraction(v) for v in values], dtype=object)
+        for values in (spec.steady.trace_table, spec.actions_attacker, spec.actions_sensor)
     )
-    r = spec.compiled.reward[:: spec.compiled.n_pairs]  # [tau, a, b]
-    pa = _action_pairs(len(spec.actions_attacker))
-    pb = _action_pairs(len(spec.actions_sensor))
-    hh = r[:, pa[:, 1, None], pb[None, :, 1]]
-    ll = r[:, pa[:, 0, None], pb[None, :, 0]]
-    d_float = hh[1:] + ll[:-1] - ll[1:] - hh[:-1]
+    r_exact = (tt[:, None, None] + Fraction(spec.alpha_s) * acts_b[None, None, :]
+               - Fraction(spec.alpha_a) * acts_a[None, :, None])
+    exact = not _alternating_sum(r_exact).any()
+    d_float = _alternating_sum(spec.compiled.reward[:: spec.compiled.n_pairs])
     return exact, float(np.abs(d_float).max()) if d_float.size else 0.0
 
 

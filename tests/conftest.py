@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 import warnings
 
@@ -9,6 +10,7 @@ from jamgame.config import parse_config
 from jamgame.nashq import nash_q_learn, shapley_value_iteration
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
 def load_profile(name):
@@ -52,3 +54,22 @@ def monotone_config():
 @pytest.fixture(scope="session")
 def monotone_oracle(monotone_config):
     return shapley_value_iteration(monotone_config.game)
+
+
+@pytest.fixture(scope="session")
+def scaled_profile():
+    """The benchmark's generated 976-state, 4-gain markov, 4x4 config document."""
+    if BENCH_DIR not in sys.path:
+        sys.path.append(BENCH_DIR)
+    import workloads
+    return workloads.scaled_profile()
+
+
+@pytest.fixture(scope="session")
+def scaled_config(scaled_profile):
+    return parse_config(scaled_profile)
+
+
+@pytest.fixture(scope="session")
+def scaled_oracle(scaled_config):
+    return shapley_value_iteration(scaled_config.game)

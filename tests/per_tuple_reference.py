@@ -5,11 +5,15 @@ they evaluated the model one tuple at a time: a ``payoff(m, a, b, g_s,
 g_a)`` callable built on ``reward_attacker`` and the erfc arrival law,
 the expanded matrix and the per-type deviation gaps as nested loops over
 it, and the ratio bound, the continuation difference and the reward
-residue as loops over every gain and action tuple. The tests check that
+residue as loops over every gain and action tuple. The order checks
+walked every pair of points: supermodularity as four nested products,
+policy monotonicity as a double loop over states, and the exact reward
+cancellation as a generator of ``Fraction`` sums. The tests check that
 the array code reproduces these loops bit for bit.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -174,3 +178,65 @@ def reward_float_residue(spec):
                 )
                 worst = max(worst, abs(d))
     return worst
+
+
+def reward_cancellation_exact(spec):
+    """Whether the alternating reward sum is zero in rational arithmetic."""
+    tt = [Fraction(t) for t in spec.steady.trace_table]
+    a_s = Fraction(spec.alpha_s)
+    a_a = Fraction(spec.alpha_a)
+
+    def r_exact(m, a, b):
+        return tt[m] + a_s * Fraction(b) - a_a * Fraction(a)
+
+    return all(
+        r_exact(m + 1, a_hi, b_hi) + r_exact(m, a_lo, b_lo)
+        - r_exact(m + 1, a_lo, b_lo) - r_exact(m, a_hi, b_hi) == 0
+        for m in range(spec.tau_max)
+        for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2)
+        for b_lo, b_hi in itertools.combinations(spec.actions_sensor, 2)
+    )
+
+
+def check_supermodular(table, n_state_axes):
+    """``(ok, witness)`` of the strict four-point inequality, pair by pair."""
+    table = np.asarray(table, dtype=float)
+    state_ranges = [range(s) for s in table.shape[:n_state_axes]]
+    act_ranges = [range(s) for s in table.shape[n_state_axes:]]
+    for s_hi in itertools.product(*state_ranges):
+        for s_lo in itertools.product(*state_ranges):
+            if not all(h > l for h, l in zip(s_hi, s_lo)):
+                continue
+            for a_hi in itertools.product(*act_ranges):
+                for a_lo in itertools.product(*act_ranges):
+                    if not all(h > l for h, l in zip(a_hi, a_lo)):
+                        continue
+                    lhs = table[s_hi + a_hi] + table[s_lo + a_lo]
+                    rhs = table[s_hi + a_lo] + table[s_lo + a_hi]
+                    if lhs <= rhs:
+                        return False, (s_hi + a_lo, s_lo + a_hi, float(lhs - rhs))
+    return True, None
+
+
+def check_monotone_policy(spec, policies, min_tau=0):
+    """``(expected_ok, expected_witnesses, argmax_ok, argmax_witnesses)`` over
+    every ordered pair of states."""
+    acts_a = np.array(spec.actions_attacker)
+    acts_b = np.array(spec.actions_sensor)
+    exp_a = np.array([float(p.strat_p1.probs @ acts_a) for p in policies])
+    exp_b = np.array([float(p.strat_p2.probs @ acts_b) for p in policies])
+    arg_a = np.array([acts_a[int(np.argmax(p.strat_p1.probs))] for p in policies])
+    arg_b = np.array([acts_b[int(np.argmax(p.strat_p2.probs))] for p in policies])
+    exp_wit = []
+    arg_wit = []
+    for i, hi in enumerate(spec.states):
+        if hi.tau < min_tau:
+            continue
+        for j, lo in enumerate(spec.states):
+            if lo.tau < min_tau or not (hi.tau > lo.tau and hi.g_s > lo.g_s and hi.g_a > lo.g_a):
+                continue
+            if not (exp_a[i] > exp_a[j] and exp_b[i] > exp_b[j]):
+                exp_wit.append((i, j))
+            if not (arg_a[i] >= arg_a[j] and arg_b[i] >= arg_b[j]):
+                arg_wit.append((i, j))
+    return not exp_wit, tuple(exp_wit), not arg_wit, tuple(arg_wit)

@@ -23,6 +23,42 @@ def paper_channel(**kw):
     return ChannelSpec(**args)
 
 
+def graph_verdict(adj):
+    """``None`` for an irreducible aperiodic pattern, else the rejection reason.
+
+    Reference by graph search: reachability from node 0 along the edges and
+    against them, then the period as the gcd over all edges ``(u, v)`` of
+    ``level(u) + 1 - level(v)`` with BFS levels from node 0.
+    """
+    n = len(adj)
+
+    def reach(mat):
+        seen, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(mat[u]).tolist():
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen)
+
+    if reach(adj) < n or reach(adj.T) < n:
+        return "irreducible"
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        for v in np.flatnonzero(adj[u]).tolist():
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    g = 0
+    for u in range(n):
+        for v in np.flatnonzero(adj[u]).tolist():
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return None if g == 1 else "periodic"
+
+
 def normal_upper_tail(x):
     # Independent evaluation by quadrature of the standard normal density.
     val, err = integrate.quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi),
@@ -54,6 +90,32 @@ class TestChannelSpec:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="sigma2"):
             paper_channel(sigma2=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gains", (0.6, float("nan"))), ("gains", (0.6, math.inf)),
+        ("sigma2", math.inf), ("sigma2", math.nan),
+        ("alpha", math.inf), ("alpha", math.nan),
+        ("kernel", [[0.5, math.nan], [0.5, 0.5]]),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="gains|sigma2|alpha|kernel"):
+            paper_channel(**{field: value})
+
+    @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 7)])
+    def test_walk_counts_match_graph_search(self, n, stride):
+        # Adjacency patterns on n gains with no empty row: all of them up to
+        # three gains, every seventh of the 50,625 on four.
+        rows = [r for r in itertools.product((False, True), repeat=n) if any(r)]
+        gains = tuple(0.5 + 0.1 * i for i in range(n))
+        for pattern in itertools.islice(itertools.product(rows, repeat=n), 0, None, stride):
+            adj = np.array(pattern)
+            want = graph_verdict(adj)
+            kernel = adj / adj.sum(axis=1, keepdims=True)
+            if want is None:
+                ChannelSpec(gains=gains, kernel=kernel, sigma2=1.0)
+            else:
+                with pytest.raises(ValueError, match=want):
+                    ChannelSpec(gains=gains, kernel=kernel, sigma2=1.0)
 
     def test_aperiodic_three_state_cycle_with_shortcut(self):
         # A 3-cycle plus one self-loop has gcd(3, 1) = 1.

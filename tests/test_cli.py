@@ -276,6 +276,64 @@ class TestSimulateCommand:
         assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
+class TestExitCodes:
+    """0 success, 1 solver failure, 2 bad input; anything else is a bug."""
+
+    def write_doc(self, tmp_path, doc):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def fast_doc(self, fast_config):
+        with open(fast_config) as fh:
+            return json.load(fh)
+
+    def test_nan_gain_exit_2(self, fast_config, tmp_path, capsys):
+        doc = self.fast_doc(fast_config)
+        doc["channel"]["gains"] = [0.6, float("nan")]
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", self.write_doc(tmp_path, doc), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: channel: gains")
+        assert not os.path.exists(out)
+
+    def test_bayes_beyond_strategy_cap_exit_2(self, tmp_path, capsys, scaled_profile):
+        cfg = self.write_doc(tmp_path, scaled_profile)
+        assert main(["bayes", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bayes:") and "cap" in err
+
+    def test_monotone_with_one_action_exit_2(self, fast_config, tmp_path, capsys):
+        doc = self.fast_doc(fast_config)
+        doc["game"]["actions_attacker"] = [1]
+        doc["game"]["actions_sensor"] = [2]
+        cfg = self.write_doc(tmp_path, doc)
+        assert main(["monotone", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: monotone: need at least two actions" in capsys.readouterr().err
+
+    def test_out_under_a_regular_file_exit_2(self, fast_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["solve", "--config", fast_config, "--out", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("exc", [RuntimeError("no convergence"),
+                                     np.linalg.LinAlgError("singular")])
+    def test_solver_failure_exit_1(self, fast_config, tmp_path, capsys, monkeypatch, exc):
+        def fail(spec):
+            raise exc
+        monkeypatch.setattr("jamgame.nashq.shapley_value_iteration", fail)
+        assert main(["solve", "--config", fast_config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    @pytest.mark.parametrize("exc", [TypeError, IndexError, AttributeError, KeyError])
+    def test_programming_error_surfaces(self, fast_config, tmp_path, monkeypatch, exc):
+        def fail(spec):
+            raise exc("bug")
+        monkeypatch.setattr("jamgame.nashq.shapley_value_iteration", fail)
+        with pytest.raises(exc):
+            main(["solve", "--config", fast_config, "--out", str(tmp_path / "out")])
+
+
 class TestDeterminism:
     def test_all_commands_byte_identical_on_rerun(self, fast_config, tmp_path):
         out1 = str(tmp_path / "a")

@@ -19,7 +19,7 @@ def test_parses_minimal_document():
     cfg = parse_config(base_doc())
     assert cfg.game.n_states == 12
     assert cfg.learn.exploration == 0.2
-    assert cfg.channel.alpha == 1.0
+    assert cfg.game.channel.alpha == 1.0
     assert cfg.bayes_holding_time == 0
     assert cfg.output_dir == "out"
 
@@ -96,3 +96,33 @@ def test_shipped_profiles_parse(tmp_path):
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", message=".*unbounded.*")
                 parse_config(json.load(fh))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("channel", "gains", [0.6, float("nan")]),
+    ("channel", "gains", [0.6, float("inf")]),
+    ("channel", "kernel", [[0.5, float("nan")], [0.5, 0.5]]),
+    ("channel", "sigma2", float("nan")),
+    ("channel", "sigma2", float("inf")),
+    ("channel", "alpha", float("inf")),
+    ("game", "actions_attacker", [1, float("inf")]),
+    ("game", "actions_sensor", [2, float("nan")]),
+    ("game", "alpha_s", float("nan")),
+    ("game", "alpha_a", float("inf")),
+    ("learn", "lr_numerator", float("nan")),
+    ("learn", "lr_offset", float("inf")),
+], ids=lambda v: str(v).replace(" ", ""))
+def test_non_finite_numbers_rejected(section, field, value):
+    # Python's json reads NaN and Infinity; they must not reach the model.
+    doc = base_doc()
+    doc[section][field] = value
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        parse_config(doc)
+
+
+def test_boundedness_warning_names_the_caller():
+    doc = base_doc()
+    doc["game"]["actions_attacker"] = [1, 60]
+    with pytest.warns(UserWarning, match="unbounded") as record:
+        parse_config(doc)
+    assert record[0].filename.endswith("config.py")

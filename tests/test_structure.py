@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from jamgame.structure import (
     continuation_difference_positive,
     epsilon_max,
     gain_averaged_values,
+    game_q_lattice,
     render_report,
     structure_report,
 )
@@ -311,3 +313,87 @@ class TestMatchesPerTupleLoops:
                                   max_size=spec.tau_max + 1))
         values = -np.repeat(np.cumsum(drop), spec.channel.n_gains ** 2)
         _assert_matches_per_tuple_loops(spec, values)
+
+
+def _policy(p_attacker, p_sensor):
+    """The two strategy vectors of a stage solution, as the order check reads them."""
+    return SimpleNamespace(strat_p1=SimpleNamespace(probs=np.asarray(p_attacker, dtype=float)),
+                           strat_p2=SimpleNamespace(probs=np.asarray(p_sensor, dtype=float)))
+
+
+def _tied_mixes(n):
+    """Pure strategies and even two-action mixes: few distinct summaries, many ties."""
+    eye = np.eye(n)
+    return [eye[i] for i in range(n)] + [
+        (eye[i] + eye[j]) / 2 for i, j in itertools.combinations(range(n), 2)]
+
+
+def _assert_order_checks_match_loops(spec, tables, policies, min_taus):
+    """Supermodularity, policy monotonicity and the reward cancellation against the
+    pair loops: verdicts, witnesses and their order, margins, exact flag and residue."""
+    for q in tables:
+        lattice = game_q_lattice(spec, q, max_tau=spec.tau_max - 1)
+        assert repr(check_q_supermodular(spec, q)) == repr(ref.check_supermodular(lattice, 3))
+    for min_tau in min_taus:
+        rep = check_monotone_policy(spec, policies, min_tau=min_tau)
+        got = (rep.expected_ok, rep.expected_witnesses, rep.argmax_ok, rep.argmax_witnesses)
+        assert repr(got) == repr(ref.check_monotone_policy(spec, policies, min_tau))
+    want = (ref.reward_cancellation_exact(spec), ref.reward_float_residue(spec))
+    assert repr(reward_cancellation_residual(spec)) == repr(want)
+
+
+class TestOrderChecksMatchPairLoops:
+    """The row scans reproduce the product loop, the pair loop and the Fraction sum."""
+
+    @pytest.mark.parametrize("profile", ["default", "monotone", "scaled"])
+    def test_profiles(self, profile, request):
+        spec = request.getfixturevalue(f"{profile}_config").game
+        oracle = request.getfixturevalue(f"{profile}_oracle")
+        _assert_order_checks_match_loops(spec, (oracle.tables.q2, oracle.tables.q1),
+                                         oracle.policies, (0, 1, spec.tau_max // 2))
+
+    def test_scaled_profile_violations_are_reported(self, scaled_config, scaled_oracle):
+        # The scaled profile fails both checks, so its witnesses are non-trivial.
+        spec = scaled_config.game
+        ok, wit = check_q_supermodular(spec, scaled_oracle.tables.q2)
+        assert not ok and wit[2] <= 0
+        rep = check_monotone_policy(spec, scaled_oracle.policies, min_tau=1)
+        assert len(rep.expected_witnesses) > 10
+        assert all(spec.states[j].tau >= 1 for _, j in rep.expected_witnesses)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(spec=game_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_random_games_with_tied_policies(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
+        # With a single action per player no pair is crossed; the loop would
+        # walk every state pair for nothing, so only the verdict is checked.
+        tables = ()
+        q = rng.integers(-2, 3, size=(spec.n_states, na, nb)).astype(float)
+        if min(na, nb) >= 2:
+            tables = (q, -q)
+        else:
+            assert check_q_supermodular(spec, q) == (True, None)
+        mix_a, mix_b = _tied_mixes(na), _tied_mixes(nb)
+        policies = [_policy(mix_a[rng.integers(len(mix_a))], mix_b[rng.integers(len(mix_b))])
+                    for _ in range(spec.n_states)]
+        min_taus = (0, int(rng.integers(1, spec.tau_max + 1)))
+        _assert_order_checks_match_loops(spec, tables, policies, min_taus)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(state_shape=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           action_shape=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           scale=st.sampled_from([0.0, 1.0, 5.0]), seed=st.integers(0, 2**32 - 1))
+    def test_integer_tables_with_ties(self, state_shape, action_shape, scale, seed):
+        # scale * (sum of state coords) * (sum of action coords) is strictly
+        # supermodular by at least scale; integer noise in [0, 2] moves a
+        # four-point sum by at most 4, so scale 5 passes and 0 or 1 give ties.
+        shape = tuple(state_shape + action_shape)
+        k = len(state_shape)
+        idx = np.indices(shape)
+        table = scale * idx[:k].sum(axis=0) * idx[k:].sum(axis=0)
+        table = table + np.random.default_rng(seed).integers(0, 3, size=shape)
+        got = check_supermodular(table, n_state_axes=k)
+        assert repr(got) == repr(ref.check_supermodular(table, k))
+        if scale == 5.0:
+            assert got == (True, None)
