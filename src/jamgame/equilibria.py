@@ -4,7 +4,8 @@ Three routes are provided and cross-checked in the test suite:
 
 * ``lemke_howson`` -- complementary pivoting on the two best-response
   polytopes, with lexicographic tie-breaking and a pivot budget;
-* ``zero_sum_value`` -- the maximin/minimax linear programs (HiGHS);
+* ``zero_sum_value`` -- one maximin linear program (HiGHS) whose duals
+  are the column strategy, polished by the support solve;
 * ``support_enumeration`` -- exhaustive support pairs for desk-scale
   games, used as the independent oracle.
 
@@ -45,9 +46,13 @@ CERT_TOL = 1e-8
 VALUE_TOL = 1e-7
 # Two payoff matrices are treated as exact negations within this.
 ZERO_SUM_TOL = 1e-9
+# Support solves: an action is in a support above this weight, a solved
+# weight may dip this far below zero, and an outside action may beat the
+# support payoff by this much.
+SUPPORT_TOL = 1e-9
 
 # 1e-10 is the tightest feasibility tolerance HiGHS accepts; the support
-# polish in zero_sum_value takes the certificate the rest of the way.
+# solve in zero_sum_value takes the certificate the rest of the way.
 _LP_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
@@ -244,7 +249,11 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
 # ---------------------------------------------------------------------------
 
 def _maximin_lp(a: np.ndarray) -> tuple:
-    """Row player's maximin mix and value for payoff matrix ``a``."""
+    """Row and column players' optimal mixes ``(x, y)`` for payoff matrix ``a``.
+
+    One LP: the row player's maximin. By LP duality the duals of its
+    ``A' x >= v`` rows are the column player's minimax mix.
+    """
     m, n = a.shape
     # Variables (x_1..x_m, v): maximize v s.t. A' x >= v, sum x = 1, x >= 0.
     c = np.zeros(m + 1)
@@ -260,7 +269,7 @@ def _maximin_lp(a: np.ndarray) -> tuple:
     )
     if not res.success:
         raise RuntimeError(f"maximin LP failed: {res.message}")
-    return res.x[:m], float(res.x[-1])
+    return res.x[:m], -res.ineqlin.marginals
 
 
 def _indifference(sub: np.ndarray) -> np.ndarray:
@@ -279,48 +288,25 @@ def _indifference(sub: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)
 
 
-def _polish_support(a: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Refine an LP solution to machine precision via its support system.
-
-    Solves the indifference equations restricted to the LP supports; falls
-    back to the raw LP point when the system is singular or leaves the
-    simplex.
-    """
-    sup_x = np.nonzero(x > 1e-9)[0]
-    sup_y = np.nonzero(y > 1e-9)[0]
-    if sup_x.size != sup_y.size:
-        return x, y
-    k = sup_x.size
-    sub = a[np.ix_(sup_x, sup_y)]
-    try:
-        # Row mix equalizes column payoffs on the support: x' sub = v 1'.
-        solx = _indifference(sub.T)
-        soly = _indifference(sub)
-    except np.linalg.LinAlgError:
-        return x, y
-    if solx[:k].min() < -1e-12 or soly[:k].min() < -1e-12:
-        return x, y
-    xr = np.zeros_like(x)
-    yr = np.zeros_like(y)
-    xr[sup_x] = np.clip(solx[:k], 0.0, None)
-    yr[sup_y] = np.clip(soly[:k], 0.0, None)
-    return xr / xr.sum(), yr / yr.sum()
-
-
 def zero_sum_value(game: StageGame) -> EquilibriumResult:
     """Solve a zero-sum game by linear programming, certified.
 
-    The row player's maximin LP and the column player's minimax LP are
-    solved on ``payoff_p1``; the supports are then polished by a direct
-    linear solve so the certificate holds at 1e-8.
+    One maximin LP on ``payoff_p1`` gives both strategies: the row mix
+    from its primal, the column mix from its duals. When the two supports
+    have the same size, the support solve of ``support_enumeration``
+    polishes them to machine precision so the certificate holds at
+    ``CERT_TOL``; otherwise the LP point stands.
     """
     if not game.zero_sum:
         raise ValueError("zero_sum_value requires payoff_p1 + payoff_p2 = 0")
     a = game.payoff_p1
-    x, _ = _maximin_lp(a)
-    # Column player maximizes its own payoff -a', i.e. minimaxes a.
-    y, _ = _maximin_lp(-a.T)
-    x, y = _polish_support(a, x, y)
+    x, y = _maximin_lp(a)
+    sup_x = np.nonzero(x > SUPPORT_TOL)[0]
+    sup_y = np.nonzero(y > SUPPORT_TOL)[0]
+    if sup_x.size == sup_y.size:
+        sol = _support_solve(a, -a, sup_x, sup_y)
+        if sol is not None:
+            x, y = sol
     res = _result(game, x, y)
     if res.deviation_gap > CERT_TOL:
         raise RuntimeError(
@@ -430,14 +416,14 @@ def _support_solve(a, b, sup_x, sup_y):
         return None
     y_s, u = sol_y[:k], sol_y[k]
     x_s, v = sol_x[:k], sol_x[k]
-    if y_s.min() < -1e-9 or x_s.min() < -1e-9:
+    if y_s.min() < -SUPPORT_TOL or x_s.min() < -SUPPORT_TOL:
         return None
     x = np.zeros(a.shape[0])
     y = np.zeros(a.shape[1])
     x[sup_x] = np.clip(x_s, 0.0, None)
     y[sup_y] = np.clip(y_s, 0.0, None)
     # No action outside the support may beat the support payoff.
-    if (a @ y).max() > u + 1e-9 or (x @ b).max() > v + 1e-9:
+    if (a @ y).max() > u + SUPPORT_TOL or (x @ b).max() > v + SUPPORT_TOL:
         return None
     return x, y
 

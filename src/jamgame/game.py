@@ -286,7 +286,10 @@ def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generato
     Uniforms come ``_BLOCK_STEPS`` steps' worth at a time from
     ``rng.random(n)``, the stream of ``n`` scalar draws; a consumer that
     stops early has advanced ``rng`` to the end of the current block.
+    A ``start`` outside ``[0, n_states)`` raises ``ValueError``.
     """
+    if not 0 <= start < spec.n_states:
+        raise ValueError(f"start state {start} is outside [0, {spec.n_states})")
     next_state = spec.compiled.next_state
     si = start
     for done in range(0, steps, _BLOCK_STEPS):

@@ -158,6 +158,8 @@ def nash_q_learn(
     """
     rng = np.random.default_rng(cfg.seed)
     ns, na, nb = spec.compiled.reward.shape
+    if not 0 <= track_state < ns:
+        raise ValueError(f"track_state {track_state} is outside [0, {ns})")
     # The loop runs on Python floats: tables are nested lists until the end.
     r1 = spec.compiled.reward.tolist()
     q1 = np.zeros((ns, na, nb)).tolist()
@@ -281,6 +283,8 @@ def discounted_rollouts(
     start_index: int = 0,
 ) -> np.ndarray:
     """Per-rollout discounted attacker returns from the given start state."""
+    if n_rollouts < 1:
+        raise ValueError(f"n_rollouts must be at least 1, got {n_rollouts}")
     if spec.beta**horizon > 1e-6:
         raise ValueError("horizon too short: beta^horizon must be at most 1e-6")
     r1 = spec.compiled.reward.tolist()

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import numpy_reference
+import two_lp_reference
 
+from jamgame import equilibria
 from jamgame.equilibria import (
     CERT_TOL,
     VALUE_TOL,
@@ -138,6 +141,48 @@ class TestZeroSumValue:
             # All equilibria of a zero-sum game share one value.
             for eq in eqs:
                 assert lp.value_p1 == pytest.approx(eq.value_p1, abs=VALUE_TOL)
+
+    def test_one_linprog_call_per_game(self, monkeypatch):
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "linprog", counting_linprog)
+        zero_sum_value(zero_sum([[3.0, -1.0, 0.5], [-2.0, 4.0, 1.0]]))
+        assert len(calls) == 1
+
+    def test_matches_two_lp_reference(self):
+        # A strategy may differ from the reference only where the game has
+        # more than one optimal strategy; both results certify, so any such
+        # difference is between two optimal strategies. Unrounded games
+        # have a unique equilibrium, and there the two solves agree.
+        for a, rounded in two_lp_games():
+            game = zero_sum(a)
+            ours = zero_sum_value(game)
+            ref = two_lp_reference.zero_sum_value(game)
+            assert ours.deviation_gap <= CERT_TOL
+            assert ref.deviation_gap <= CERT_TOL
+            assert ours.value_p1 == pytest.approx(ref.value_p1, abs=VALUE_TOL)
+            if not rounded:
+                for got, want in ((ours.strat_p1, ref.strat_p1), (ours.strat_p2, ref.strat_p2)):
+                    assert np.abs(got.probs - want.probs).max() <= 1e-12
+
+
+def two_lp_games():
+    """Derandomized zero-sum games with a flag for integer rounding.
+
+    240 games from 1x1 to 8x8, every third rounded to integers so ties and
+    several optimal strategies come up, then three unrounded 64x64 games.
+    """
+    rng = np.random.default_rng(2024)
+    games = []
+    for i in range(240):
+        a = 5.0 * rng.normal(size=tuple(rng.integers(1, 9, size=2)))
+        games.append((np.round(a), True) if i % 3 == 0 else (a, False))
+    games += [(rng.normal(size=(64, 64)), False) for _ in range(3)]
+    return games
 
 
 @st.composite

@@ -216,6 +216,13 @@ class TestNashQLearning:
         assert res.curve.shape == (51, 4)
         assert (res.curve[0] == 0).all()
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_track_state_outside_state_range_rejected(self, default_config, past_end):
+        spec = default_config.game
+        track = spec.n_states if past_end else -1
+        with pytest.raises(ValueError, match="track_state"):
+            nash_q_learn(spec, LearnConfig(episodes=1, seed=0), track_state=track)
+
 
 def lp_markov_spec():
     """A 3x2 markov game whose learned stage games often lack a saddle point."""
@@ -331,6 +338,22 @@ class TestEmpiricalReturn:
         with pytest.raises(ValueError):
             empirical_return(spec, res.policies, horizon=5, n_rollouts=10,
                              rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_start_outside_state_range_rejected(self, default_config, default_oracle, past_end):
+        spec = default_config.game
+        horizon = int(np.ceil(np.log(1e-6) / np.log(spec.beta)))
+        start = spec.n_states if past_end else -1
+        with pytest.raises(ValueError, match="start state"):
+            discounted_rollouts(spec, default_oracle.policies, horizon, 10,
+                                np.random.default_rng(0), start_index=start)
+
+    def test_no_rollouts_rejected(self, default_config, default_oracle):
+        spec = default_config.game
+        horizon = int(np.ceil(np.log(1e-6) / np.log(spec.beta)))
+        with pytest.raises(ValueError, match="n_rollouts"):
+            empirical_return(spec, default_oracle.policies, horizon, 0,
+                             np.random.default_rng(0))
 
     def test_matches_oracle_value_within_three_sigma(self):
         spec = small_spec()
