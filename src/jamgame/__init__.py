@@ -15,7 +15,6 @@ from .bayesian import (
     TypeStrategy,
     bayes_deviation_gap,
     bayesian_from_game,
-    expand_matrix,
     solve_bayesian,
 )
 from .channel import (

@@ -2,11 +2,12 @@
 
 A player's type is its channel gain; beliefs about the opponent's gain
 come from the stationary distribution (default) or from the kernel row
-of one's own gain. The game is solved in matrix form: pure strategies
-become functions type -> action, the payoff matrix is the belief-weighted
-expectation over type pairs, and the zero-sum expansion goes to
-``solve_zero_sum``. The mixed solution is then marginalized back into one
-action distribution per type and certified by the conditional deviation gap.
+of one's own gain. Each player's strategy is one action distribution per
+own type (a behavioural strategy, which loses nothing under perfect
+recall). The zero-sum game over them is the one maximin LP of
+``equilibria``, fed the belief-weighted payoff block of every type pair:
+its primal gives the attacker's per-type mixes and its duals the
+sensor's. The pair is certified by the conditional deviation gap.
 
 ``bayesian_from_game`` reads the per-type-pair payoffs off
 ``spec.compiled`` into one array: the rewards at the holding time and, for
@@ -15,12 +16,11 @@ lookahead payoffs, the continuation over the arrival probabilities.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CERT_TOL, NORM_TOL, StageGame, solve_zero_sum
+from .equilibria import CERT_TOL, NORM_TOL, _maximin_lp
 from .game import GameSpec
 
 __all__ = [
@@ -28,14 +28,10 @@ __all__ = [
     "TypeStrategy",
     "BayesResult",
     "bayesian_from_game",
-    "expand_matrix",
     "solve_bayesian",
     "bayes_deviation_gap",
     "write_type_strategy_csv",
 ]
-
-# Keeps |actions|^|types| per player at desk scale.
-MAX_PURE_STRATEGIES = 64
 
 BELIEF_MODES = ("stationary", "kernel")
 PAYOFF_MODES = ("stage", "lookahead")
@@ -67,6 +63,8 @@ class BayesianSpec:
         k = len(self.types)
         if belief.shape != (k, k):
             raise ValueError(f"belief must be {k}x{k}, got {belief.shape}")
+        if not np.isfinite(belief).all():
+            raise ValueError("belief must be finite")
         if belief.min() < 0 or abs(belief.sum() - 1.0) > NORM_TOL:
             raise ValueError("belief must be a probability distribution")
         if belief.sum(axis=1).min() <= 0 or belief.sum(axis=0).min() <= 0:
@@ -81,12 +79,6 @@ class BayesianSpec:
             raise ValueError("payoff must be finite")
         payoff.flags.writeable = False
         object.__setattr__(self, "payoff", payoff)
-        for n_act in (len(self.actions_attacker), len(self.actions_sensor)):
-            if n_act**k > MAX_PURE_STRATEGIES:
-                raise ValueError(
-                    f"{n_act}^{k} type-contingent strategies exceed the "
-                    f"desk-scale cap of {MAX_PURE_STRATEGIES}"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +91,8 @@ class TypeStrategy:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 2:
             raise ValueError("type strategy must be a matrix")
+        if not np.isfinite(p).all():
+            raise ValueError("type strategy must be finite")
         if p.min() < -NORM_TOL or np.abs(p.sum(axis=1) - 1.0).max() > NORM_TOL:
             raise ValueError("every row must be a probability vector")
         p = np.clip(p, 0.0, None)
@@ -171,60 +165,25 @@ def bayesian_from_game(
     )
 
 
-def _pure_type_strategies(actions, n_types):
-    """All maps type index -> action, in deterministic lexicographic order."""
-    return list(itertools.product(range(len(actions)), repeat=n_types))
-
-
-def expand_matrix(spec: BayesianSpec) -> StageGame:
-    """Belief-weighted payoff matrix over type-contingent pure strategies.
-
-    Row ``f`` assigns the attacker an action per own type, column ``g``
-    does the same for the sensor; the entry averages the payoff over type
-    pairs under the common prior. Zero-sum by construction.
-    """
-    k = len(spec.types)
-    rows = np.array(_pure_type_strategies(spec.actions_attacker, k))
-    cols = np.array(_pure_type_strategies(spec.actions_sensor, k))
-    payoff = np.zeros((len(rows), len(cols)))
-    # Type pairs are added in the same order for every entry.
-    for ti in range(k):  # attacker's type
-        for tj in range(k):  # sensor's type
-            w = spec.belief[ti, tj]
-            if w == 0.0:
-                continue
-            payoff += w * spec.payoff[ti, tj][np.ix_(rows[:, ti], cols[:, tj])]
-    return StageGame(payoff_p1=payoff, payoff_p2=-payoff)
-
-
 def solve_bayesian(spec: BayesianSpec) -> BayesResult:
-    """Solve the expanded game and marginalize back to per-type strategies."""
-    game = expand_matrix(spec)
-    res = solve_zero_sum(game)
-    k = len(spec.types)
-    attacker = _marginalize(res.strat_p1.probs, spec.actions_attacker, k)
-    sensor = _marginalize(res.strat_p2.probs, spec.actions_sensor, k)
+    """Per-type equilibrium mixes from one maximin LP, certified."""
+    blocks = spec.belief[:, :, None, None] * spec.payoff
+    x, y = _maximin_lp(blocks)
+    attacker, sensor = _type_strategy(x), _type_strategy(y)
     gap = bayes_deviation_gap(spec, attacker, sensor)
     if gap > CERT_TOL:
         raise RuntimeError(f"Bayesian equilibrium failed certification (gap {gap})")
-    return BayesResult(
-        attacker=attacker,
-        sensor=sensor,
-        value_attacker=res.value_p1,
-        deviation_gap=gap,
-    )
+    x, y = attacker.probs, sensor.probs
+    k = len(spec.types)
+    # Type pairs in order, attacker's type outermost.
+    value = sum(float(x[i] @ blocks[i, j] @ y[j]) for i in range(k) for j in range(k))
+    return BayesResult(attacker=attacker, sensor=sensor, value_attacker=value, deviation_gap=gap)
 
 
-def _marginalize(mix, actions, n_types) -> TypeStrategy:
-    pures = _pure_type_strategies(actions, n_types)
-    probs = np.zeros((n_types, len(actions)))
-    for w, pure in zip(mix, pures):
-        for t, ai in enumerate(pure):
-            probs[t, ai] += w
+def _type_strategy(mix: np.ndarray) -> TypeStrategy:
     # Guard against drift from the LP mix before normalizing rows.
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return TypeStrategy(probs=probs)
+    mix = np.clip(mix, 0.0, None)
+    return TypeStrategy(probs=mix / mix.sum(axis=1, keepdims=True))
 
 
 def _conditional(belief: np.ndarray, axis: int) -> np.ndarray:

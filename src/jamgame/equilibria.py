@@ -11,6 +11,8 @@ Three routes are provided and cross-checked in the test suite:
 
 ``solve_zero_sum`` is the one certified zero-sum entry point: a pure
 saddle scan and the 2x2 mixing formula, with the LP as the fallback.
+The maximin LP takes one payoff block per pair of player types, so the
+Bayesian variant (``bayesian.solve_bayesian``) is solved by it too.
 
 Every result is certified against the *original* payoff matrices via
 ``deviation_gap``; tolerances are centralized below.
@@ -102,6 +104,8 @@ class MixedStrategy:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1:
             raise ValueError("strategy must be a vector")
+        if not np.isfinite(p).all():
+            raise ValueError("strategy must be finite")
         if p.min() < -NORM_TOL:
             raise ValueError("strategy has a negative entry")
         if abs(p.sum() - 1.0) > NORM_TOL:
@@ -248,28 +252,34 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
 # Zero-sum linear programming
 # ---------------------------------------------------------------------------
 
-def _maximin_lp(a: np.ndarray) -> tuple:
-    """Row and column players' optimal mixes ``(x, y)`` for payoff matrix ``a``.
+def _maximin_lp(blocks: np.ndarray) -> tuple:
+    """Per-type optimal mixes ``(x, y)`` of a zero-sum game with typed players.
 
-    One LP: the row player's maximin. By LP duality the duals of its
-    ``A' x >= v`` rows are the column player's minimax mix.
+    ``blocks[i, j]`` is the row player's weighted payoff matrix at row
+    type ``i`` and column type ``j``; a matrix game ``a`` is the one-type
+    case ``a[None, None]``. One LP: the row player's maximin over one mix
+    ``x[i]`` per row type. By LP duality the duals of its ``(j, b)`` rows
+    are the column player's mixes ``y[j]``.
     """
-    m, n = a.shape
-    # Variables (x_1..x_m, v): maximize v s.t. A' x >= v, sum x = 1, x >= 0.
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-a.T, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    bounds = [(0, None)] * m + [(None, None)]
+    ki, kj, m, n = blocks.shape
+    nx = ki * m
+    # Variables (x[0]..x[ki-1], w_0..w_{kj-1}): maximize sum_j w_j s.t.
+    # w_j <= sum_i x[i]' blocks[i, j][:, b] for every (j, b),
+    # sum_a x[i, a] = 1 and x >= 0.
+    c = np.zeros(nx + kj)
+    c[nx:] = -1.0
+    a_ub = np.hstack([-blocks.transpose(1, 3, 0, 2).reshape(kj * n, nx),
+                      np.kron(np.eye(kj), np.ones((n, 1)))])
+    b_ub = np.zeros(kj * n)
+    a_eq = np.hstack([np.kron(np.eye(ki), np.ones((1, m))), np.zeros((ki, kj))])
+    bounds = [(0, None)] * nx + [(None, None)] * kj
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds,
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(ki), bounds=bounds,
         method="highs", options=_LP_OPTIONS,
     )
     if not res.success:
         raise RuntimeError(f"maximin LP failed: {res.message}")
-    return res.x[:m], -res.ineqlin.marginals
+    return res.x[:nx].reshape(ki, m), -res.ineqlin.marginals.reshape(kj, n)
 
 
 def _indifference(sub: np.ndarray) -> np.ndarray:
@@ -300,7 +310,7 @@ def zero_sum_value(game: StageGame) -> EquilibriumResult:
     if not game.zero_sum:
         raise ValueError("zero_sum_value requires payoff_p1 + payoff_p2 = 0")
     a = game.payoff_p1
-    x, y = _maximin_lp(a)
+    (x,), (y,) = _maximin_lp(a[None, None])
     sup_x = np.nonzero(x > SUPPORT_TOL)[0]
     sup_y = np.nonzero(y > SUPPORT_TOL)[0]
     if sup_x.size == sup_y.size:

@@ -114,10 +114,6 @@ class SystemModel:
         if _rank(ctrb) != n:
             raise ValueError("(A, sqrt(Q)) is not controllable")
 
-    @property
-    def state_dim(self) -> int:
-        return self.A.shape[0]
-
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)

@@ -1,24 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import normal_form_reference as nf
 import per_tuple_reference as ref
+from jamgame import equilibria
 from jamgame.bayesian import (
     BayesianSpec,
     TypeStrategy,
     bayes_deviation_gap,
     bayesian_from_game,
-    expand_matrix,
     solve_bayesian,
     write_type_strategy_csv,
 )
 from jamgame.channel import ChannelSpec
 from jamgame.estimation import SystemModel
-from jamgame.equilibria import zero_sum_value, StageGame
+from jamgame.equilibria import CERT_TOL, VALUE_TOL, zero_sum_value, StageGame
 from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import gain_averaged_values
+from normal_form_reference import expand_matrix
 from spec_strategies import game_specs
 
 
@@ -85,11 +88,20 @@ class TestSpecConstruction:
         assert b.belief.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_size_guard(self):
+        # 2^7 = 128 type-contingent strategies per player, past the
+        # 64 that the normal-form expansion was capped at.
         gains = tuple(0.1 * k for k in range(1, 8))
         kernel = np.full((7, 7), 1.0 / 7)
         game = paper_game(channel=ChannelSpec(gains=gains, kernel=kernel, sigma2=0.5))
-        with pytest.raises(ValueError, match="desk-scale"):
-            bayesian_from_game(game, 0)
+        res = solve_bayesian(bayesian_from_game(game, 0))
+        assert res.attacker.probs.shape == (7, 2)
+        assert res.deviation_gap <= CERT_TOL
+
+    def test_non_finite_belief_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            BayesianSpec(actions_attacker=(1.0, 6.0), actions_sensor=(2.0, 5.0),
+                         types=(0.6, 0.8), belief=np.full((2, 2), np.nan),
+                         payoff=np.full((2, 2, 2, 2), 3.0))
 
 
 class TestExpandMatrix:
@@ -156,6 +168,7 @@ class TestSolveBayesian:
         complete = zero_sum_value(StageGame(payoff_p1=matrix, payoff_p2=-matrix))
         assert res.value_attacker == pytest.approx(complete.value_p1, abs=1e-9)
         assert np.allclose(res.attacker.probs[0], complete.strat_p1.probs, atol=1e-9)
+        _assert_matches_reference(spec)
 
     def test_paper_shape_with_lookahead_payoffs(self):
         res = solve_bayesian(lookahead_spec())
@@ -186,8 +199,7 @@ class TestSolveBayesian:
         perm = [0, 2, 1, 3]
         swapped = game.payoff_p1[np.ix_(perm, perm)]
         assert np.allclose(swapped, game.payoff_p1, atol=1e-12)
-        a = solve_bayesian(sym)
-        assert a.deviation_gap <= 1e-8
+        _assert_matches_reference(sym)
 
     def test_gap_certified_on_monotone_profile(self, monotone_config):
         game = monotone_config.game
@@ -226,6 +238,10 @@ class TestDeviationGap:
         # the blind mix loses 2.5 per type against the best response
         assert gap == pytest.approx(2.5, abs=1e-12)
 
+    def test_non_finite_strategy_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            TypeStrategy(np.full((2, 2), np.nan))
+
     def test_constant_payoffs_any_strategy_is_equilibrium(self):
         spec = BayesianSpec(
             actions_attacker=(1.0, 6.0),
@@ -236,6 +252,79 @@ class TestDeviationGap:
         )
         s = TypeStrategy(np.tile([0.3, 0.7], (2, 1)))
         assert bayes_deviation_gap(spec, s, s) == 0.0
+
+
+def _assert_matches_reference(spec):
+    res = solve_bayesian(spec)
+    want = nf.solve_bayesian(spec)
+    assert res.deviation_gap <= CERT_TOL
+    assert want.deviation_gap <= CERT_TOL
+    assert res.value_attacker == pytest.approx(want.value_attacker, abs=VALUE_TOL)
+
+
+def random_specs(rng, n, types, actions):
+    """``n`` specs with type and action counts drawn from the inclusive
+    ranges ``types`` and ``actions``.
+
+    Every third payoff is rounded to integers so ties and several optimal
+    strategies come up; every fourth belief has zero entries off the
+    diagonal, so its marginals stay positive.
+    """
+    specs = []
+    for i in range(n):
+        k = int(rng.integers(types[0], types[1] + 1))
+        na, nb = (int(v) for v in rng.integers(actions[0], actions[1] + 1, size=2))
+        payoff = 5.0 * rng.normal(size=(k, k, na, nb))
+        if i % 3 == 0:
+            payoff = np.round(payoff)
+        belief = rng.random((k, k)) + 0.05
+        if i % 4 == 0:
+            belief[(rng.random((k, k)) < 0.5) & ~np.eye(k, dtype=bool)] = 0.0
+        specs.append(BayesianSpec(
+            actions_attacker=tuple(range(1, na + 1)),
+            actions_sensor=tuple(range(1, nb + 1)),
+            types=tuple(0.1 * (t + 1) for t in range(k)),
+            belief=belief / belief.sum(),
+            payoff=payoff,
+        ))
+    return specs
+
+
+class TestPerTypeLp:
+    def test_one_linprog_call_per_game(self, monkeypatch):
+        spec = lookahead_spec()
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "linprog", counting_linprog)
+        solve_bayesian(spec)
+        assert len(calls) == 1
+
+    def test_matches_normal_form_reference(self):
+        specs = random_specs(np.random.default_rng(8), 200, types=(1, 3), actions=(1, 4))
+        assert any(np.any(s.belief == 0.0) for s in specs)
+        for spec in specs:
+            _assert_matches_reference(spec)
+
+    def test_small_type_marginals(self):
+        base = paper_game()
+        spec = bayesian_from_game(base, holding_time=0, payoff_mode="lookahead",
+                                  holding_values=np.linspace(1, 3, base.tau_max + 1))
+        for eps in (1e-3, 1e-6, 1e-9):
+            belief = np.array([[eps, eps], [eps, 1.0 - 3 * eps]])
+            _assert_matches_reference(BayesianSpec(
+                actions_attacker=spec.actions_attacker, actions_sensor=spec.actions_sensor,
+                types=spec.types, belief=belief, payoff=spec.payoff))
+
+    def test_beyond_the_normal_form_cap(self):
+        # 6^8 type-contingent strategies per player: no normal form fits.
+        for spec in random_specs(np.random.default_rng(9), 6, types=(8, 8), actions=(6, 6)):
+            res = solve_bayesian(spec)
+            assert res.attacker.probs.shape == res.sensor.probs.shape == (8, 6)
+            assert res.deviation_gap <= CERT_TOL
 
 
 class TestCsvEmission:
@@ -272,7 +361,8 @@ def _assert_matches_per_tuple_loops(game, m, belief_mode, payoff_mode, values, r
     payoff = ref.payoff_function(game, payoff_mode, values)
     want = ref.payoff_array(spec.types, spec.actions_attacker, spec.actions_sensor, payoff, m)
     assert spec.payoff.tobytes() == want.tobytes()
-    assert expand_matrix(spec).payoff_p1.tobytes() == ref.expand_matrix(spec, payoff, m).tobytes()
+    if nf.n_pure_strategies(spec) <= 64:
+        assert expand_matrix(spec).payoff_p1.tobytes() == ref.expand_matrix(spec, payoff, m).tobytes()
     k = len(spec.types)
     na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
     for x, y in (
@@ -312,8 +402,6 @@ class TestMatchesPerTupleLoops:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(game=game_specs(), data=st.data())
     def test_random_games(self, game, data):
-        k = game.channel.n_gains
-        assume(max(len(game.actions_attacker), len(game.actions_sensor)) ** k <= 64)
         m = data.draw(st.integers(0, game.tau_max))
         values = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=game.tau_max + 1,
                                              max_size=game.tau_max + 1)))

@@ -296,11 +296,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: channel: gains")
         assert not os.path.exists(out)
 
-    def test_bayes_beyond_strategy_cap_exit_2(self, tmp_path, capsys, scaled_profile):
+    def test_bayes_beyond_old_strategy_cap_exit_0(self, tmp_path, capsys, scaled_profile):
+        # 4 gains and 4 actions: 4^4 type-contingent strategies per player.
         cfg = self.write_doc(tmp_path, scaled_profile)
-        assert main(["bayes", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bayes:") and "cap" in err
+        assert main(["bayes", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        gap = float(out.split("deviation gap: ")[1].split()[0])
+        assert gap <= 1e-8
+        assert os.path.exists(tmp_path / "out" / "bayes_sensor.csv")
 
     def test_monotone_with_one_action_exit_2(self, fast_config, tmp_path, capsys):
         doc = self.fast_doc(fast_config)

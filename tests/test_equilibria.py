@@ -53,6 +53,10 @@ class TestStageGame:
         with pytest.raises(ValueError):
             MixedStrategy([0.5, 0.6])
 
+    def test_non_finite_strategy_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            MixedStrategy([np.nan, np.nan])
+
 
 class TestDeviationGap:
     def test_equilibrium_has_zero_gap(self):
