@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import CERT_TOL, NORM_TOL, _maximin_lp
-from .game import GameSpec
+from .game import _REPR, _STR, GameSpec, _label, _write_csv
 
 __all__ = [
     "BayesianSpec",
@@ -227,11 +227,8 @@ def bayes_deviation_gap(spec: BayesianSpec, s_attacker: TypeStrategy, s_sensor: 
 
 def write_type_strategy_csv(spec: BayesianSpec, strategy: TypeStrategy, player: str, path) -> None:
     """One row per action, one column per own-type value."""
-    actions = spec.actions_attacker if player == "attacker" else spec.actions_sensor
     if player not in ("attacker", "sensor"):
         raise ValueError("player must be 'attacker' or 'sensor'")
-    with open(path, "w") as fh:
-        fh.write("action," + ",".join(f"type={t:g}" for t in spec.types) + "\n")
-        for ai, a in enumerate(actions):
-            row = [f"{a:g}"] + [repr(float(strategy.probs[t, ai])) for t in range(len(spec.types))]
-            fh.write(",".join(row) + "\n")
+    actions = getattr(spec, f"actions_{player}")
+    columns = [([_label(a) for a in actions], _STR)] + [(p, _REPR) for p in strategy.probs]
+    _write_csv(path, ["action"] + [f"type={_label(t)}" for t in spec.types], columns)

@@ -54,22 +54,16 @@ def _write(path: str, text: str) -> None:
 
 
 def _policies_json(spec, policies) -> str:
-    doc = {
-        "actions_attacker": list(spec.actions_attacker),
-        "actions_sensor": list(spec.actions_sensor),
-        "states": [[s.tau, s.g_s, s.g_a] for s in spec.states],
-        "policies": [
-            {
-                "attacker": p.strat_p1.probs.tolist(),
-                "sensor": p.strat_p2.probs.tolist(),
-                "value_attacker": p.value_p1,
-                "value_sensor": p.value_p2,
-                "deviation_gap": p.deviation_gap,
-            }
-            for p in policies
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return nashq._game_json(spec, policies=[
+        {
+            "attacker": p.strat_p1.probs.tolist(),
+            "sensor": p.strat_p2.probs.tolist(),
+            "value_attacker": p.value_p1,
+            "value_sensor": p.value_p2,
+            "deviation_gap": p.deviation_gap,
+        }
+        for p in policies
+    ])
 
 
 def _print_boundedness(spec) -> None:
@@ -127,17 +121,8 @@ def cmd_learn(args) -> int:
 
 
 def _write_curve(path, spec, res) -> None:
-    na = len(spec.actions_attacker)
-    nb = len(spec.actions_sensor)
-    labels = [
-        f"q1(a={spec.actions_attacker[i]:g},b={spec.actions_sensor[j]:g})"
-        for i in range(na)
-        for j in range(nb)
-    ]
-    with open(path, "w") as fh:
-        fh.write("episode," + ",".join(labels) + "\n")
-        for ep, row in enumerate(res.curve):
-            fh.write(str(ep) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    columns = [(np.arange(len(res.curve)), game._STR)] + [(q, game._REPR) for q in res.curve.T]
+    game._write_csv(path, ["episode"] + nashq._q1_labels(spec), columns)
     print(f"wrote {path}")
 
 
@@ -214,11 +199,13 @@ def cmd_simulate(args) -> int:
     if args.horizon <= 0:
         raise ConfigError(f"horizon must be positive, got {args.horizon}")
     cfg = _load(args)
-    out = _out_dir(args, cfg)
     pa, ps = _read_policies(args.policies, cfg.game)
     rng = np.random.default_rng(cfg.learn.seed)
-    traj = game.simulate_trajectory(cfg.game, pa, ps, horizon=args.horizon, rng=rng)
-    path = os.path.join(out, "trajectory.csv")
+    try:
+        traj = game.simulate_trajectory(cfg.game, pa, ps, horizon=args.horizon, rng=rng)
+    except ValueError as exc:
+        raise ConfigError(f"policy file: {exc}") from exc
+    path = os.path.join(_out_dir(args, cfg), "trajectory.csv")
     game.write_trajectory_csv(traj, path)
     print(f"wrote {path}")
     print(f"empirical discounted return: {traj.discounted_return(cfg.game.beta)!r}")
@@ -226,27 +213,23 @@ def cmd_simulate(args) -> int:
 
 
 def _read_policies(path, spec) -> tuple:
-    """Attacker and sensor strategy tables (state x action) of a policy file."""
+    """A policy file's attacker and sensor tables; ``simulate_trajectory`` checks them."""
     try:
         with open(path) as fh:
-            pols = json.load(fh)["policies"]
-        tables = {player: np.array([p[player] for p in pols], dtype=float)
-                  for player in ("attacker", "sensor")}
+            doc = json.load(fh)
+        want = json.loads(nashq._game_json(spec))  # the states and actions of this game
+        differ = [key for key in want if doc[key] != want[key]]
+        tables = tuple(np.array([p[player] for p in doc["policies"]], dtype=float)
+                       for player in ("attacker", "sensor"))
     except OSError as exc:
         raise ConfigError(f"cannot read policy file: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"policy file lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"policy file is malformed: {exc}") from exc
-    for player, table in tables.items():
-        shape = (spec.n_states, len(getattr(spec, f"actions_{player}")))
-        if table.shape != shape:
-            raise ConfigError(f"policy file: {player} table has shape {table.shape}, game needs {shape}")
-    try:
-        game.fixed_policy(tables["attacker"], tables["sensor"])
-    except ValueError as exc:
-        raise ConfigError(f"policy file: {exc}") from exc
-    return tables["attacker"], tables["sensor"]
+    if differ:
+        raise ConfigError(f"policy file is for another game: its {', '.join(differ)} differ")
+    return tables
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -46,8 +47,12 @@ TRAJECTORY_COLUMNS = ("step", "tau", "g_s", "g_a", "a", "b", "q", "gamma", "trac
 # Largest deviation from 1 allowed in the sum of a policy row.
 POLICY_SUM_TOL = 1e-9
 
-# Most steps whose uniforms ``play`` draws at once, so long horizons stay small.
+# Most steps whose uniforms ``play`` draws, and rows ``_write_csv`` formats, at once.
 _BLOCK_STEPS = 1024
+
+# ``_write_csv`` cell formatters: a list of one column's values to their texts.
+_REPR = partial(map, repr)
+_STR = partial(map, str)
 
 
 @dataclass(frozen=True)
@@ -319,7 +324,7 @@ def fixed_policy(policy_a, policy_s):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Columnar record of one closed-loop rollout."""
+    """Columnar record of one closed-loop rollout, fields in ``TRAJECTORY_COLUMNS`` order."""
 
     steps: np.ndarray
     tau: np.ndarray
@@ -352,9 +357,10 @@ def simulate_trajectory(
     """
     pa = np.asarray(policy_a, dtype=float)
     ps = np.asarray(policy_s, dtype=float)
-    na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
-    if pa.shape != (spec.n_states, na) or ps.shape != (spec.n_states, nb):
-        raise ValueError("policies must cover every state")
+    for player, table in (("attacker", pa), ("sensor", ps)):
+        shape = (spec.n_states, len(getattr(spec, f"actions_{player}")))
+        if table.shape != shape:
+            raise ValueError(f"{player} table has shape {table.shape}, game needs {shape}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     steps = np.array(list(play(spec, fixed_policy(pa, ps), 0, horizon, rng)))
@@ -376,17 +382,30 @@ def simulate_trajectory(
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    arrays = (
-        traj.steps, traj.tau, traj.g_s, traj.g_a, traj.a,
-        traj.b, traj.q, traj.gamma, traj.trace_p, traj.r1,
-    )
+    """One row per step under the ``TRAJECTORY_COLUMNS`` header."""
+    columns = [(getattr(traj, f.name), _integral_cells) for f in fields(traj)]
+    _write_csv(path, TRAJECTORY_COLUMNS, columns)
+
+
+def _integral_cells(values: list):
+    """``str(int(v))`` for integral ``v``, else ``repr(v)``; each distinct ``v`` once.
+    ``0.0`` and ``-0.0`` are one dict key, so a ``repr`` column must not use a table."""
+    text = {v: str(int(v)) if v == int(v) else repr(v) for v in set(values)}
+    return map(text.__getitem__, values)
+
+
+def _label(v: float) -> str:
+    """A header or row label: ``f"{v:g}"`` if that reads back as ``v``, else ``repr(v)``."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write the ``header`` labels, then one row per entry of ``columns``: ``(values, cells)``
+    pairs of array-like ``values`` and a formatter (``_REPR``, ``_STR``, ``_integral_cells``).
+    A block of ``_BLOCK_STEPS`` rows is formatted column by column and written at once."""
     with open(path, "w") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if float(v) == int(v):
-        return str(int(v))
-    return repr(float(v))
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0][0]), _BLOCK_STEPS):
+            texts = [cells(np.asarray(values[lo:lo + _BLOCK_STEPS]).tolist())
+                     for values, cells in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*texts))

@@ -30,7 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .equilibria import ZERO_SUM_TOL, StageGame, _zero_sum_strategies, solve_zero_sum
-from .game import GameSpec, fixed_policy, play
+from .game import _REPR, _STR, GameSpec, _label, _write_csv, fixed_policy, play
 
 __all__ = [
     "QTables",
@@ -316,16 +316,20 @@ def empirical_return(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def qtables_to_json(spec: GameSpec, tables: QTables) -> str:
+def _game_json(spec: GameSpec, **fields) -> str:
+    """JSON document of ``fields`` beside the states and actions that index them."""
     doc = {
         "states": [[s.tau, s.g_s, s.g_a] for s in spec.states],
         "actions_attacker": list(spec.actions_attacker),
         "actions_sensor": list(spec.actions_sensor),
-        "q1": tables.q1.tolist(),
-        "q2": tables.q2.tolist(),
-        "visits": tables.visits.tolist(),
+        **fields,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def qtables_to_json(spec: GameSpec, tables: QTables) -> str:
+    return _game_json(spec, q1=tables.q1.tolist(), q2=tables.q2.tolist(),
+                      visits=tables.visits.tolist())
 
 
 def qtables_from_json(text: str) -> QTables:
@@ -341,20 +345,16 @@ def qtables_from_json(text: str) -> QTables:
     return tables
 
 
+def _q1_labels(spec: GameSpec) -> list:
+    """``q1(a=..,b=..)`` column labels of the joint actions, sensor action fastest."""
+    return [f"q1(a={_label(a)},b={_label(b)})"
+            for a in spec.actions_attacker for b in spec.actions_sensor]
+
+
 def write_qtable_csv(spec: GameSpec, tables: QTables, path) -> None:
     """Dump Q1 as one row per state, one column per joint action."""
-    pairs = [
-        (ai, bi)
-        for ai in range(len(spec.actions_attacker))
-        for bi in range(len(spec.actions_sensor))
-    ]
-    header = ["state", "tau", "g_s", "g_a"] + [
-        f"q1(a={spec.actions_attacker[ai]:g},b={spec.actions_sensor[bi]:g})"
-        for ai, bi in pairs
-    ]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for si, s in enumerate(spec.states):
-            row = [f"s{si}", str(s.tau), repr(s.g_s), repr(s.g_a)]
-            row += [repr(float(tables.q1[si, ai, bi])) for ai, bi in pairs]
-            fh.write(",".join(row) + "\n")
+    n = spec.n_states
+    tau, g_s, g_a = zip(*((s.tau, s.g_s, s.g_a) for s in spec.states))
+    columns = [([f"s{si}" for si in range(n)], _STR), (tau, _STR), (g_s, _REPR), (g_a, _REPR)]
+    columns += [(q, _REPR) for q in tables.q1.reshape(n, -1).T]
+    _write_csv(path, ["state", "tau", "g_s", "g_a"] + _q1_labels(spec), columns)

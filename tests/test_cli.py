@@ -275,6 +275,76 @@ class TestSimulateCommand:
         assert err.startswith("config error: policy file")
         assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
+    @pytest.mark.parametrize("case", ["other_game", "no_states", "no_actions_sensor"])
+    def test_policy_file_of_another_game_exit_2(self, fast_config, tmp_path, capsys, case):
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", fast_config, "--out", out]) == 0
+        path = os.path.join(out, "oracle_policies.json")
+        with open(fast_config) as fh:
+            doc = json.load(fh)
+        if case == "other_game":
+            # Same state and action counts, so the tables alone fit.
+            doc["game"]["actions_attacker"] = [1, 7]
+            doc["channel"]["gains"] = [0.5, 0.9]
+        else:
+            with open(path) as fh:
+                pols = json.load(fh)
+            del pols[case[3:]]
+            with open(path, "w") as fh:
+                json.dump(pols, fh)
+        cfg = tmp_path / "simulated.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", out,
+                     "--policies", path, "--horizon", "10"]) == 2
+        assert capsys.readouterr().err.startswith("config error: policy file")
+        assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+
+    @pytest.mark.parametrize("case", ["malformed", "rows_off_one"])
+    def test_rejected_policy_file_creates_no_out_dir(self, fast_config, tmp_path, case):
+        solved = str(tmp_path / "solved")
+        assert main(["solve", "--config", fast_config, "--out", solved]) == 0
+        path = os.path.join(solved, "oracle_policies.json")
+        if case == "malformed":
+            with open(path, "w") as fh:
+                fh.write("{")
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
+            doc["policies"][3]["sensor"] = [0.5, 0.6]
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        out = str(tmp_path / "fresh")
+        assert main(["simulate", "--config", fast_config, "--out", out,
+                     "--policies", path, "--horizon", "10"]) == 2
+        assert not os.path.exists(out)
+
+
+class TestLabels:
+    def test_close_values_keep_distinct_labels(self, fast_config, tmp_path):
+        # :g prints 1 and 1.0000001 (and 0.6 and 0.6000001) alike.
+        with open(fast_config) as fh:
+            doc = json.load(fh)
+        doc["game"]["actions_attacker"] = [1.0, 1.0000001]
+        doc["channel"]["gains"] = [0.6, 0.6000001]
+        cfg = tmp_path / "close.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        for cmd in ("solve", "learn", "bayes"):
+            assert main([cmd, "--config", str(cfg), "--out", out]) == 0
+
+        def lines(name):
+            with open(os.path.join(out, name)) as fh:
+                return fh.read().splitlines()
+
+        q1 = "q1(a=1,b=2),q1(a=1,b=5),q1(a=1.0000001,b=2),q1(a=1.0000001,b=5)"
+        assert lines("oracle_qtable.csv")[0] == "state,tau,g_s,g_a," + q1
+        assert lines("learn_convergence.csv")[0] == "episode," + q1
+        table = lines("bayes_attacker.csv")
+        assert table[0] == "action,type=0.6,type=0.6000001"
+        assert [row.split(",")[0] for row in table[1:]] == ["1", "1.0000001"]
+        assert lines("bayes_sensor.csv")[0] == table[0]
+
 
 class TestExitCodes:
     """0 success, 1 solver failure, 2 bad input; anything else is a bug."""

@@ -242,6 +242,16 @@ class TestSimulation:
             with pytest.raises(ValueError, match=f"{player} row of state 7"):
                 fixed_policy(pa, ps)
 
+    @pytest.mark.parametrize("player", ["attacker", "sensor"])
+    def test_table_shape_mismatch_names_player_and_shapes(self, spec, player):
+        good = np.tile([0.5, 0.5], (spec.n_states, 1))
+        bad = np.tile([0.5, 0.25, 0.25], (spec.n_states - 1, 1))
+        pa, ps = (bad, good) if player == "attacker" else (good, bad)
+        n = spec.n_states
+        with pytest.raises(ValueError, match=rf"^{player} table has shape \({n - 1}, 3\), "
+                                             rf"game needs \({n}, 2\)$"):
+            simulate_trajectory(spec, pa, ps, 10, np.random.default_rng(0))
+
     def test_row_sums_within_tolerance_accepted(self, spec):
         pa = np.tile([0.5, 0.5 + 1e-10], (spec.n_states, 1))
         cdf_a, _ = fixed_policy(pa, pa)(3)
