@@ -4,9 +4,13 @@ Subcommands: ``steady`` (plant fixed point), ``solve`` (value-iteration
 oracle), ``learn`` (Nash Q-learning), ``equilibrium`` (one stage game
 from a matrix file), ``monotone`` (structure report), ``bayes``
 (incomplete-information strategies) and ``simulate`` (closed-loop
-rollout under stored policies). Exit codes: 0 success, 1 solver failure
-(``RuntimeError`` or ``LinAlgError``), 2 bad config, arguments or files.
-Any other exception is a bug and surfaces with its traceback.
+rollout under stored policies). Each ``cmd_*`` computes and prints its
+summary, then returns its outputs as an ordered ``{file name:
+writer(path)}``; ``main`` creates the output directory only after the
+command has returned, so a failed command writes nothing. Exit codes: 0
+success, 1 solver failure (``RuntimeError`` or ``LinAlgError``), 2 bad
+config, arguments or files. Any other exception is a bug and surfaces
+with its traceback.
 """
 
 from __future__ import annotations
@@ -28,29 +32,17 @@ __all__ = ["main"]
 
 def _load(args):
     cfg = load_config(args.config)
-    seed = getattr(args, "seed", None)
-    episodes = getattr(args, "episodes", None)
-    if seed is not None or episodes is not None:
-        seed = cfg.learn.seed if seed is None else seed
-        episodes = cfg.learn.episodes if episodes is None else episodes
-        try:
-            learn = dataclasses.replace(cfg.learn, seed=seed, episodes=episodes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        cfg = dataclasses.replace(cfg, learn=learn)
-    return cfg
-
-
-def _out_dir(args, cfg) -> str:
-    out = args.out if getattr(args, "out", None) else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+    overrides = {key: getattr(args, key) for key in ("seed", "episodes")
+                 if getattr(args, key, None) is not None}
+    try:
+        return dataclasses.replace(cfg, learn=dataclasses.replace(cfg.learn, **overrides))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
-    print(f"wrote {path}")
 
 
 def _policies_json(spec, policies) -> str:
@@ -66,6 +58,16 @@ def _policies_json(spec, policies) -> str:
     ])
 
 
+def _table_outputs(prefix, spec, res) -> dict:
+    """The Q-table dump of ``solve`` (``oracle``) and ``learn``."""
+    tables = res.tables
+    return {
+        f"{prefix}_qtables.json": lambda path: _write(path, nashq.qtables_to_json(spec, tables)),
+        f"{prefix}_qtable.csv": lambda path: nashq.write_qtable_csv(spec, tables, path),
+        f"{prefix}_policies.json": lambda path: _write(path, _policies_json(spec, res.policies)),
+    }
+
+
 def _print_boundedness(spec) -> None:
     verdict = "holds" if spec.boundedness_ok else "VIOLATED"
     print(
@@ -74,8 +76,7 @@ def _print_boundedness(spec) -> None:
     )
 
 
-def cmd_steady(args) -> int:
-    cfg = _load(args)
+def cmd_steady(args, cfg) -> dict:
     summary = cfg.game.steady
     print(f"steady covariance:\n{summary.p_bar}")
     print(f"trace: {float(np.trace(summary.p_bar))!r}")
@@ -86,47 +87,34 @@ def cmd_steady(args) -> int:
     for m, t in enumerate(summary.trace_table):
         print(f"  {m}: {t!r}")
     _print_boundedness(cfg.game)
-    return 0
+    return {}
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+def cmd_solve(args, cfg) -> dict:
     res = nashq.shapley_value_iteration(cfg.game)
     print(f"value iteration converged in {res.sweeps} sweeps")
-    _write(os.path.join(out, "oracle_qtables.json"), nashq.qtables_to_json(cfg.game, res.tables))
-    nashq.write_qtable_csv(cfg.game, res.tables, os.path.join(out, "oracle_qtable.csv"))
-    print(f"wrote {os.path.join(out, 'oracle_qtable.csv')}")
-    _write(os.path.join(out, "oracle_policies.json"), _policies_json(cfg.game, res.policies))
-    return 0
+    return _table_outputs("oracle", cfg.game, res)
 
 
-def cmd_learn(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+def cmd_learn(args, cfg) -> dict:
     _print_boundedness(cfg.game)
     res = nashq.nash_q_learn(cfg.game, cfg.learn)
-    _write(os.path.join(out, "learn_qtables.json"), nashq.qtables_to_json(cfg.game, res.tables))
-    nashq.write_qtable_csv(cfg.game, res.tables, os.path.join(out, "learn_qtable.csv"))
-    print(f"wrote {os.path.join(out, 'learn_qtable.csv')}")
-    _write(os.path.join(out, "learn_policies.json"), _policies_json(cfg.game, res.policies))
-    _write_curve(os.path.join(out, "learn_convergence.csv"), cfg.game, res)
     print(f"zero-sum mirror error: {res.mirror_max!r}")
     if args.oracle:
         oracle = nashq.shapley_value_iteration(cfg.game)
         gap = float(np.abs(res.tables.q1 - oracle.tables.q1).max())
         scale = 1.0 + float(np.abs(oracle.tables.q1).max())
         print(f"sup-norm gap to oracle: {gap!r} ({gap / scale:.4%} of 1 + |Q*|)")
-    return 0
+    return {**_table_outputs("learn", cfg.game, res),
+            "learn_convergence.csv": lambda path: _write_curve(path, cfg.game, res)}
 
 
 def _write_curve(path, spec, res) -> None:
     columns = [(np.arange(len(res.curve)), game._STR)] + [(q, game._REPR) for q in res.curve.T]
     game._write_csv(path, ["episode"] + nashq._q1_labels(spec), columns)
-    print(f"wrote {path}")
 
 
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args, cfg) -> dict:
     try:
         stage = equilibria.read_stage_game(args.matrix)
     except ValueError as exc:
@@ -142,7 +130,7 @@ def cmd_equilibrium(args) -> int:
     if max(stage.shape) <= 5:
         for i, res in enumerate(equilibria.support_enumeration(stage)):
             _print_result(f"support enumeration #{i}", res)
-    return 0
+    return {}
 
 
 def _print_result(name, res) -> None:
@@ -154,22 +142,21 @@ def _print_result(name, res) -> None:
     )
 
 
-def cmd_monotone(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+def cmd_monotone(args, cfg) -> dict:
+    try:
+        structure.require_two_actions(cfg.game)
+    except ValueError as exc:
+        raise ConfigError(f"monotone: {exc}") from exc
     oracle = nashq.shapley_value_iteration(cfg.game)
     try:
         report = structure.structure_report(cfg.game, oracle)
     except ValueError as exc:
         raise ConfigError(f"monotone: {exc}") from exc
     print(structure.render_report(report))
-    _write(os.path.join(out, "monotone_report.json"), structure.report_to_json(report))
-    return 0
+    return {"monotone_report.json": lambda path: _write(path, structure.report_to_json(report))}
 
 
-def cmd_bayes(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+def cmd_bayes(args, cfg) -> dict:
     values = None
     if cfg.bayes_payoff_mode == "lookahead":
         oracle = nashq.shapley_value_iteration(cfg.game)
@@ -188,28 +175,22 @@ def cmd_bayes(args) -> int:
     res = bayesian.solve_bayesian(bspec)
     print(f"game value (attacker): {res.value_attacker!r}")
     print(f"deviation gap: {res.deviation_gap:.3g}")
-    for player, strat in (("attacker", res.attacker), ("sensor", res.sensor)):
-        path = os.path.join(out, f"bayes_{player}.csv")
-        bayesian.write_type_strategy_csv(bspec, strat, player, path)
-        print(f"wrote {path}")
-    return 0
+    return {f"bayes_{player}.csv": (lambda path, player=player, strat=strat:
+                                    bayesian.write_type_strategy_csv(bspec, strat, player, path))
+            for player, strat in (("attacker", res.attacker), ("sensor", res.sensor))}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, cfg) -> dict:
     if args.horizon <= 0:
         raise ConfigError(f"horizon must be positive, got {args.horizon}")
-    cfg = _load(args)
     pa, ps = _read_policies(args.policies, cfg.game)
     rng = np.random.default_rng(cfg.learn.seed)
     try:
         traj = game.simulate_trajectory(cfg.game, pa, ps, horizon=args.horizon, rng=rng)
     except ValueError as exc:
         raise ConfigError(f"policy file: {exc}") from exc
-    path = os.path.join(_out_dir(args, cfg), "trajectory.csv")
-    game.write_trajectory_csv(traj, path)
-    print(f"wrote {path}")
     print(f"empirical discounted return: {traj.discounted_return(cfg.game.beta)!r}")
-    return 0
+    return {"trajectory.csv": lambda path: game.write_trajectory_csv(traj, path)}
 
 
 def _read_policies(path, spec) -> tuple:
@@ -217,8 +198,7 @@ def _read_policies(path, spec) -> tuple:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        want = json.loads(nashq._game_json(spec))  # the states and actions of this game
-        differ = [key for key in want if doc[key] != want[key]]
+        differ = [key for key, want in nashq._game_header(spec).items() if doc[key] != want]
         tables = tuple(np.array([p[player] for p in doc["policies"]], dtype=float)
                        for player in ("attacker", "sensor"))
     except OSError as exc:
@@ -238,29 +218,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Remote-estimation jamming game: simulation, learning and solvers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = {
+        "--config": dict(required=True, help="experiment JSON file"),
+        "--out": dict(help="output directory (default from config)"),
+        "--seed": dict(type=int, help="override the config seed"),
+    }
 
-    def add(name, func, needs_config=True, **kwargs):
+    def add(name, func, *options, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment JSON file")
-            p.add_argument("--out", help="output directory (default from config)")
-            p.add_argument("--seed", type=int, help="override the config seed")
+        for flag in options:
+            p.add_argument(flag, **common[flag])
         p.set_defaults(func=func)
         return p
 
-    add("steady", cmd_steady, help="print the steady-state covariance summary")
-    add("solve", cmd_solve, help="run the value-iteration oracle and dump tables")
-    p_learn = add("learn", cmd_learn, help="run Nash Q-learning and dump tables")
+    add("steady", cmd_steady, "--config", help="print the steady-state covariance summary")
+    add("solve", cmd_solve, "--config", "--out",
+        help="run the value-iteration oracle and dump tables")
+    p_learn = add("learn", cmd_learn, "--config", "--out", "--seed",
+                  help="run Nash Q-learning and dump tables")
     p_learn.add_argument("--episodes", type=int, help="override the episode budget")
     p_learn.add_argument(
         "--oracle", action="store_true", help="also solve exactly and print the gap"
     )
-    p_eq = add("equilibrium", cmd_equilibrium, needs_config=False,
-               help="solve a bimatrix game from a matrix file")
+    p_eq = add("equilibrium", cmd_equilibrium, help="solve a bimatrix game from a matrix file")
     p_eq.add_argument("matrix", help="text file with one or two matrix blocks")
-    add("monotone", cmd_monotone, help="run the monotone-structure checks")
-    add("bayes", cmd_bayes, help="solve the incomplete-information game")
-    p_sim = add("simulate", cmd_simulate, help="roll out stored policies")
+    add("monotone", cmd_monotone, "--config", "--out", help="run the monotone-structure checks")
+    add("bayes", cmd_bayes, "--config", "--out", help="solve the incomplete-information game")
+    p_sim = add("simulate", cmd_simulate, "--config", "--out", "--seed",
+                help="roll out stored policies")
     p_sim.add_argument("--policies", required=True, help="policies JSON file")
     p_sim.add_argument("--horizon", type=int, default=1000)
     return parser
@@ -273,7 +258,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        cfg = _load(args) if "config" in args else None
+        outputs = args.func(args, cfg)
+        if outputs:
+            out = args.out or cfg.output_dir
+            os.makedirs(out, exist_ok=True)
+        for name, write in outputs.items():
+            path = os.path.join(out, name)
+            write(path)
+            print(f"wrote {path}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

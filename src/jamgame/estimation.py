@@ -134,10 +134,6 @@ class SteadySummary:
     iterations: int = 0
     tol: float = 1e-12
 
-    @property
-    def tau_max(self) -> int:
-        return len(self.trace_table) - 1
-
 
 def lyapunov_step(x, model: SystemModel) -> np.ndarray:
     """One covariance prediction step ``A X A' + Q``."""

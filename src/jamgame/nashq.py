@@ -316,15 +316,18 @@ def empirical_return(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _game_json(spec: GameSpec, **fields) -> str:
-    """JSON document of ``fields`` beside the states and actions that index them."""
-    doc = {
+def _game_header(spec: GameSpec) -> dict:
+    """The states and actions that index a table, as JSON-ready lists."""
+    return {
         "states": [[s.tau, s.g_s, s.g_a] for s in spec.states],
         "actions_attacker": list(spec.actions_attacker),
         "actions_sensor": list(spec.actions_sensor),
-        **fields,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _game_json(spec: GameSpec, **fields) -> str:
+    """JSON document of ``fields`` beside the states and actions that index them."""
+    return json.dumps({**_game_header(spec), **fields}, indent=2, sort_keys=True)
 
 
 def qtables_to_json(spec: GameSpec, tables: QTables) -> str:

@@ -36,6 +36,7 @@ __all__ = [
     "EpsilonReport",
     "MonotoneConditionReport",
     "MonotoneReport",
+    "require_two_actions",
     "epsilon_max",
     "check_supermodular",
     "game_q_lattice",
@@ -124,6 +125,12 @@ def _increments(spec: GameSpec) -> tuple:
     return inc, keys
 
 
+def require_two_actions(spec: GameSpec) -> None:
+    """Raise ``ValueError`` unless each player has an action pair to compare."""
+    if len(spec.actions_attacker) < 2 or len(spec.actions_sensor) < 2:
+        raise ValueError("need at least two actions per player")
+
+
 def epsilon_max(spec: GameSpec) -> EpsilonReport:
     """Enumerate the ratio bound over all gain quadruples and action pairs.
 
@@ -131,8 +138,7 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
     lower state's gains against the higher state's. Tuples with a zero
     denominator are excluded from the max and reported.
     """
-    if len(spec.actions_attacker) < 2 or len(spec.actions_sensor) < 2:
-        raise ValueError("need at least two actions per player")
+    require_two_actions(spec)
     inc, keys = _increments(spec)
     num = inc[:, :, :, :, None, None]
     den = inc[:, :, None, None, :, :]

@@ -6,8 +6,8 @@ Q-table and the convergence curve built the ``q1(a=..,b=..)`` header
 apart, the trajectory listed its ten arrays by hand and formatted every
 cell through ``_fmt``, and the per-type strategy wrote one row per
 action. The tests check that the shared writer reproduces their bytes
-wherever ``:g`` keeps the labels distinct. ``write_curve`` is the body
-of ``cli._write_curve`` without its ``wrote`` line.
+wherever ``:g`` keeps the labels distinct. ``write_curve`` is the row
+loop ``cli._write_curve`` ran before.
 """
 
 

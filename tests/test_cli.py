@@ -407,6 +407,77 @@ class TestExitCodes:
             main(["solve", "--config", fast_config, "--out", str(tmp_path / "out")])
 
 
+class TestOutputStep:
+    """Commands compute and print; ``main`` writes their files after they return."""
+
+    @pytest.fixture()
+    def policies(self, fast_config, tmp_path):
+        solved = str(tmp_path / "solved")
+        assert main(["solve", "--config", fast_config, "--out", solved]) == 0
+        return os.path.join(solved, "oracle_policies.json")
+
+    @pytest.mark.parametrize("argv, target", [
+        (["solve"], "jamgame.nashq.shapley_value_iteration"),
+        (["learn", "--oracle"], "jamgame.nashq.shapley_value_iteration"),
+        (["bayes"], "jamgame.bayesian.solve_bayesian"),
+        (["simulate", "--horizon", "10"], "jamgame.game.simulate_trajectory"),
+    ])
+    def test_failed_command_writes_nothing(self, fast_config, tmp_path, capsys, monkeypatch,
+                                           policies, argv, target):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no convergence")
+        monkeypatch.setattr(target, fail)
+        if argv[0] == "simulate":
+            argv = argv + ["--policies", policies]
+        out = str(tmp_path / "out")
+        assert main(argv + ["--config", fast_config, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: no convergence\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("single", ["actions_attacker", "actions_sensor"])
+    def test_monotone_rejects_one_action_before_value_iteration(
+            self, fast_config, tmp_path, capsys, monkeypatch, single):
+        with open(fast_config) as fh:
+            doc = json.load(fh)
+        doc["game"][single] = doc["game"][single][:1]
+        cfg = tmp_path / "one_action.json"
+        cfg.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr("jamgame.nashq.shapley_value_iteration", calls.append)
+        out = str(tmp_path / "out")
+        assert main(["monotone", "--config", str(cfg), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "config error: monotone: need at least two actions per player\n")
+        assert calls == []
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["steady", "--out", "x"],
+        ["steady", "--seed", "1"],
+        ["solve", "--seed", "1"],
+        ["monotone", "--seed", "1"],
+        ["bayes", "--seed", "1"],
+    ])
+    def test_option_the_command_never_reads_exit_2(self, fast_config, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--config", fast_config]) == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    def test_learn_prints_wrote_lines_after_summary(self, fast_config, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["learn", "--config", fast_config, "--out", out, "--oracle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = ["learn_qtables.json", "learn_qtable.csv", "learn_policies.json",
+                 "learn_convergence.csv"]
+        assert lines[-4:] == [f"wrote {os.path.join(out, name)}" for name in names]
+        summary = ["worst-case arrival probability", "zero-sum mirror error",
+                   "sup-norm gap to oracle"]
+        assert len(lines) == len(summary) + len(names)
+        assert all(line.startswith(want) for line, want in zip(lines, summary))
+
+
 class TestDeterminism:
     def test_all_commands_byte_identical_on_rerun(self, fast_config, tmp_path):
         out1 = str(tmp_path / "a")
