@@ -50,12 +50,10 @@ from .game import (
     GameState,
     reward_attacker,
     simulate_trajectory,
-    transition_distribution,
 )
 from .nashq import (
     LearnConfig,
     QTables,
-    empirical_return,
     extract_policy,
     nash_q_learn,
     shapley_value_iteration,

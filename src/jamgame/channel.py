@@ -81,12 +81,6 @@ class ChannelSpec:
     def n_gains(self) -> int:
         return len(self.gains)
 
-    def gain_index(self, g: float) -> int:
-        try:
-            return self.gains.index(float(g))
-        except ValueError:
-            raise ValueError(f"gain {g} not in {self.gains}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryDist:

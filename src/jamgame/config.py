@@ -143,4 +143,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def _reraise(section: str, exc: Exception):
+    """A library error gets its section as prefix; a ``ConfigError`` already names its path."""
+    if isinstance(exc, ConfigError):
+        raise exc
     raise ConfigError(f"{section}: {exc}") from exc

@@ -9,6 +9,7 @@ the trace of ``h^m`` applied to that fixed point for each holding time
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,8 +211,8 @@ def steady_state_covariance(
 def boundedness_threshold(summary: SteadySummary) -> float:
     """Arrival-probability floor ``1 - 1/rho(A)^2`` for a bounded covariance.
 
-    Negative for a stable plant, in which case the condition is vacuous.
+    Negative for a stable plant, in which case the condition is vacuous;
+    ``-inf`` for rho(A) = 0 (a nilpotent ``A``), the limit of the formula.
     """
-    if summary.rho_a <= 0:
-        raise ValueError("spectral radius must be positive")
-    return 1.0 - 1.0 / summary.rho_a**2
+    rho2 = summary.rho_a**2
+    return 1.0 - 1.0 / rho2 if rho2 > 0.0 else -math.inf

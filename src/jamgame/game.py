@@ -10,8 +10,7 @@ there), which keeps the state space finite.
 ``GameSpec.compiled`` holds the rewards and the factored transition law
 as arrays, which value iteration, the learner, ``play`` (the one
 stepping engine), the Bayesian game and the structure checks read;
-``reward_attacker`` and ``transition_distribution`` are the scalar
-reference reward and law.
+``reward_attacker`` is the scalar reference reward.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "GameSpec",
     "GameState",
     "reward_attacker",
-    "transition_distribution",
     "play",
     "fixed_policy",
     "simulate_trajectory",
@@ -192,9 +190,6 @@ class GameSpec:
             for ga in desc
         )
         object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "_index", {(s.tau, s.g_s, s.g_a): i for i, s in enumerate(states)}
-        )
 
         compiled = _compile(self, desc)
         # Values are bounded by B = max|r| / (1 - beta); float64 rounding at
@@ -223,62 +218,16 @@ class GameSpec:
     def n_states(self) -> int:
         return len(self.states)
 
-    def state_index(self, state: GameState) -> int:
-        try:
-            return self._index[(state.tau, state.g_s, state.g_a)]
-        except KeyError:
-            raise ValueError(f"{state} is not a state of this game") from None
-
-    def attacker_index(self, a: float) -> int:
-        try:
-            return self.actions_attacker.index(float(a))
-        except ValueError:
-            raise ValueError(f"attacker action {a} not in {self.actions_attacker}") from None
-
-    def sensor_index(self, b: float) -> int:
-        try:
-            return self.actions_sensor.index(float(b))
-        except ValueError:
-            raise ValueError(f"sensor action {b} not in {self.actions_sensor}") from None
-
 
 def reward_attacker(spec: GameSpec, m: int, a: float, b: float) -> float:
     """Attacker stage reward at holding time ``m``; the sensor gets its negation."""
     if not 0 <= m <= spec.tau_max:
         raise ValueError(f"holding time {m} outside [0, {spec.tau_max}]")
-    spec.attacker_index(a)
-    spec.sensor_index(b)
+    if a not in spec.actions_attacker:
+        raise ValueError(f"attacker action {a} not in {spec.actions_attacker}")
+    if b not in spec.actions_sensor:
+        raise ValueError(f"sensor action {b} not in {spec.actions_sensor}")
     return spec.steady.trace_table[m] + spec.alpha_s * b - spec.alpha_a * a
-
-
-def transition_distribution(spec: GameSpec, state: GameState, a: float, b: float) -> dict:
-    """Distribution of the next state under joint action ``(a, b)``.
-
-    On success the holding time resets to 0, on failure it saturates at
-    ``tau_max``; next gains are weighted per ``gain_mode``. Probabilities
-    sum to 1 over the support.
-    """
-    spec.state_index(state)
-    q = packet_arrival_prob(spec.channel, b, state.g_s, a, state.g_a)
-    if spec.gain_mode == "stationary":
-        w_s = w_a = spec.mu
-    else:
-        w_s = spec.channel.kernel[spec.channel.gain_index(state.g_s)]
-        w_a = spec.channel.kernel[spec.channel.gain_index(state.g_a)]
-    tau_fail = min(state.tau + 1, spec.tau_max)
-    out: dict = {}
-    for i, gs in enumerate(spec.channel.gains):
-        for j, ga in enumerate(spec.channel.gains):
-            w = w_s[i] * w_a[j]
-            if w == 0.0:
-                continue
-            if q > 0.0:
-                ok = GameState(0, gs, ga)
-                out[ok] = out.get(ok, 0.0) + q * w
-            if q < 1.0:
-                fail = GameState(tau_fail, gs, ga)
-                out[fail] = out.get(fail, 0.0) + (1.0 - q) * w
-    return out
 
 
 def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generator):

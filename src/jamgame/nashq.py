@@ -40,7 +40,6 @@ __all__ = [
     "nash_q_learn",
     "shapley_value_iteration",
     "extract_policy",
-    "empirical_return",
     "discounted_rollouts",
     "qtables_to_json",
     "qtables_from_json",
@@ -108,7 +107,6 @@ class LearnResult:
     tables: QTables
     policies: list
     curve: np.ndarray  # per-episode Q1 values of the tracked state
-    tracked_state: int
     mirror_max: float  # max |Q1 + Q2| of the returned tables
     snapshots: dict = field(default_factory=dict)
 
@@ -175,11 +173,8 @@ def nash_q_learn(
     def stage(si):
         if cache[si] is None:
             pi1, pi2 = _zero_sum_strategies(q1[si])
-            if eps > 0.0:
-                pa = [keep * p + mix_a for p in pi1]
-                pb = [keep * p + mix_b for p in pi2]
-            else:
-                pa, pb = pi1, pi2
+            pa = [keep * p + mix_a for p in pi1]
+            pb = [keep * p + mix_b for p in pi2]
             cache[si] = ((list(accumulate(pa)), list(accumulate(pb))), pi1, pi2)
         return cache[si]
 
@@ -211,7 +206,6 @@ def nash_q_learn(
         tables=tables,
         policies=extract_policy(tables),
         curve=curve.reshape(cfg.episodes + 1, na * nb),
-        tracked_state=track_state,
         mirror_max=tables.mirror_error,
         snapshots=snapshots,
     )
@@ -298,18 +292,6 @@ def discounted_rollouts(
             disc *= spec.beta
         out[k] = total
     return out
-
-
-def empirical_return(
-    spec: GameSpec,
-    policies,
-    horizon: int,
-    n_rollouts: int,
-    rng: np.random.Generator,
-    start_index: int = 0,
-) -> float:
-    """Monte-Carlo estimate of the attacker's discounted value at a state."""
-    return float(discounted_rollouts(spec, policies, horizon, n_rollouts, rng, start_index).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,24 @@ class TestSteady:
         out = capsys.readouterr().out
         assert "boundedness threshold 1 - 1/rho^2: -0.56" in out
 
+    @pytest.mark.parametrize("model", [
+        {"A": [[0.0]]},
+        {"A": [[0, 1], [0, 0]], "C": [[1, 0]], "Q": [[0.8, 0], [0, 0.8]],
+         "Pi0": [[0.8, 0], [0, 0.8]]},
+    ], ids=["zero", "nilpotent"])
+    def test_zero_spectral_radius_exit_0(self, tmp_path, capsys, model):
+        # rho(A) = 0: the floor 1 - 1/rho^2 is -inf, so boundedness holds.
+        with open(os.path.join(CONFIG_DIR, "default.json")) as fh:
+            doc = json.load(fh)
+        doc["model"].update(model)
+        cfg = tmp_path / "plant.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["steady", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "spectral radius: 0.0" in out
+        assert "boundedness threshold 1 - 1/rho^2: -inf" in out
+        assert "boundedness holds" in out
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"model": {"A": [[1.2]]}}))

@@ -52,6 +52,19 @@ def test_non_integer_episodes_rejected():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["channel"].update(sigma2="x"), "channel.sigma2 must be a number, got 'x'"),
+    (lambda doc: doc["model"].pop("A"), "missing config field: model.A"),
+    (lambda doc: doc["learn"].update(episodes=10.5), "learn.episodes must be an integer, got 10.5"),
+], ids=["channel.sigma2", "model.A", "learn.episodes"])
+def test_field_errors_name_their_path_once(edit, message):
+    doc = base_doc()
+    edit(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
+
+
 def test_negative_seed_rejected():
     doc = base_doc()
     doc["learn"]["seed"] = -3

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import numpy_reference
+from scalar_law_reference import state_index, transition_distribution
 from spec_strategies import game_specs
 
 from jamgame import game
@@ -17,7 +18,6 @@ from jamgame.game import (
     play,
     reward_attacker,
     simulate_trajectory,
-    transition_distribution,
     write_trajectory_csv,
 )
 
@@ -61,16 +61,24 @@ class TestGameSpec:
         assert len(small.states) == 2
 
     def test_index_round_trip(self, spec):
+        # The compiled model's layout: s = tau * n_pairs + p, gains descending.
+        desc = sorted(spec.channel.gains, reverse=True)
+        pairs = [(gs, ga) for gs in desc for ga in desc]
         for i, s in enumerate(spec.states):
-            assert spec.state_index(s) == i
-
-    def test_unknown_state_rejected(self, spec):
-        with pytest.raises(ValueError):
-            spec.state_index(GameState(0, 0.7, 0.8))
+            tau, p = divmod(i, spec.compiled.n_pairs)
+            assert (s.tau, (s.g_s, s.g_a)) == (tau, pairs[p])
 
     def test_boundedness_guard_ok_for_paper_profile(self, spec):
         assert spec.boundedness_ok
         assert spec.min_arrival_prob > spec.bound_threshold
+
+    @pytest.mark.parametrize("a, c", [([[0.0]], [[0.7]]), ([[0, 1], [0, 0]], [[1, 0]])],
+                             ids=["zero", "nilpotent"])
+    def test_zero_spectral_radius_plant_is_bounded(self, a, c):
+        eye = 0.8 * np.eye(len(a))
+        spec = paper_spec(model=SystemModel(A=a, C=c, Q=eye, R=[[0.8]], Pi0=eye))
+        assert spec.bound_threshold == -np.inf
+        assert spec.boundedness_ok
 
     def test_boundedness_guard_warns_when_violated(self):
         with pytest.warns(UserWarning, match="unbounded"):
@@ -292,7 +300,7 @@ def dense_law(spec, state, a, b):
     """Next-state probabilities in state-index order, from the reference law."""
     law = np.zeros(spec.n_states)
     for nxt, p in transition_distribution(spec, state, a, b).items():
-        law[spec.state_index(nxt)] += p
+        law[state_index(spec, nxt)] += p
     return law
 
 

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 
 import numpy_reference
+from scalar_law_reference import state_index, transition_distribution
 from spec_strategies import PAPER_PLANT, game_specs
 
 from jamgame.channel import ChannelSpec
 from jamgame.equilibria import CERT_TOL
 from jamgame.estimation import SystemModel
-from jamgame.game import GameSpec, reward_attacker, simulate_trajectory, transition_distribution
+from jamgame.game import GameSpec, reward_attacker, simulate_trajectory
 from jamgame.nashq import (
     LearnConfig,
     QTables,
     discounted_rollouts,
-    empirical_return,
     extract_policy,
     nash_q_learn,
     policy_arrays,
@@ -108,7 +108,7 @@ class TestValueIterationOracle:
             for ai, a in enumerate(spec.actions_attacker):
                 for bi, b in enumerate(spec.actions_sensor):
                     law = transition_distribution(spec, s, a, b)
-                    cont = sum(p * v1[spec.state_index(nxt)] for nxt, p in law.items())
+                    cont = sum(p * v1[state_index(spec, nxt)] for nxt, p in law.items())
                     rhs[si, ai, bi] = reward_attacker(spec, s.tau, a, b) + spec.beta * cont
         assert np.abs(res.tables.q1 - rhs).max() < 1e-9
 
@@ -322,22 +322,24 @@ class TestExtractPolicy:
 
 
 class TestEmpiricalReturn:
+    """``discounted_rollouts``: Monte-Carlo returns of the attacker's discounted value."""
+
     def test_geometric_sum_when_always_delivered(self):
         spec = small_spec(actions_sensor=(500.0, 1000.0))
         res = shapley_value_iteration(spec)
         pure = extract_policy(res.tables)
         # under q = 1 the trajectory stays at fresh states; compare against
         # the oracle value directly
-        val = empirical_return(spec, pure, horizon=60, n_rollouts=200,
-                               rng=np.random.default_rng(0))
+        val = discounted_rollouts(spec, pure, horizon=60, n_rollouts=200,
+                                  rng=np.random.default_rng(0)).mean()
         assert val == pytest.approx(pure[0].value_p1, abs=0.2)
 
     def test_horizon_guard(self):
         spec = small_spec()
         res = shapley_value_iteration(spec)
         with pytest.raises(ValueError):
-            empirical_return(spec, res.policies, horizon=5, n_rollouts=10,
-                             rng=np.random.default_rng(0))
+            discounted_rollouts(spec, res.policies, horizon=5, n_rollouts=10,
+                                rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("past_end", [False, True])
     def test_start_outside_state_range_rejected(self, default_config, default_oracle, past_end):
@@ -352,8 +354,8 @@ class TestEmpiricalReturn:
         spec = default_config.game
         horizon = int(np.ceil(np.log(1e-6) / np.log(spec.beta)))
         with pytest.raises(ValueError, match="n_rollouts"):
-            empirical_return(spec, default_oracle.policies, horizon, 0,
-                             np.random.default_rng(0))
+            discounted_rollouts(spec, default_oracle.policies, horizon, 0,
+                                np.random.default_rng(0))
 
     def test_matches_oracle_value_within_three_sigma(self):
         spec = small_spec()
@@ -379,8 +381,8 @@ class TestEmpiricalReturn:
         from jamgame.game import reward_attacker
         spec = small_spec(beta=1e-7)
         res = shapley_value_iteration(spec)
-        val = empirical_return(spec, res.policies, horizon=1, n_rollouts=2000,
-                               rng=np.random.default_rng(4))
+        val = discounted_rollouts(spec, res.policies, horizon=1, n_rollouts=2000,
+                                  rng=np.random.default_rng(4)).mean()
         # start state is fresh (tau = 0); average the one-step reward over
         # the equilibrium action mix there
         pol = res.policies[0]
