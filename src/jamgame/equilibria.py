@@ -14,12 +14,20 @@ saddle scan and the 2x2 mixing formula, with the LP as the fallback.
 The maximin LP takes one payoff block per pair of player types, so the
 Bayesian variant (``bayesian.solve_bayesian``) is solved by it too.
 
+``stage_values`` and ``stage_policies`` solve a whole table of zero-sum
+stage games ``q[s]`` in one pass, with the same results as the scalar
+routes state by state: the saddle scan and the 2x2 formula run as array
+operations, and each remaining state first tries the support it had in
+the previous pass (a support hint), kept only when its deviation gap is
+within ``CERT_TOL``, before the LP.
+
 Every result is certified against the *original* payoff matrices via
 ``deviation_gap``; tolerances are centralized below.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,6 +43,8 @@ __all__ = [
     "lemke_howson",
     "zero_sum_value",
     "solve_zero_sum",
+    "stage_values",
+    "stage_policies",
     "support_enumeration",
     "solve_stage",
     "read_stage_game",
@@ -285,17 +295,18 @@ def _maximin_lp(blocks: np.ndarray) -> tuple:
 def _indifference(sub: np.ndarray) -> np.ndarray:
     """``(z, u)`` with ``sub @ z = u`` in every row and ``sum(z) = 1``.
 
-    The bordered ``(k+1) x (k+1)`` system of a square support block;
-    raises ``LinAlgError`` when it is singular.
+    The bordered ``(k+1) x (k+1)`` system of a square support block, or
+    of each block in a stack ``(..., k, k)``; raises ``LinAlgError`` when
+    one is singular.
     """
-    k = sub.shape[0]
-    lhs = np.zeros((k + 1, k + 1))
-    lhs[:k, :k] = sub
-    lhs[:k, k] = -1.0
-    lhs[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    return np.linalg.solve(lhs, rhs)
+    k = sub.shape[-1]
+    lhs = np.zeros(sub.shape[:-2] + (k + 1, k + 1))
+    lhs[..., :k, :k] = sub
+    lhs[..., :k, k] = -1.0
+    lhs[..., k, :k] = 1.0
+    rhs = np.zeros(sub.shape[:-2] + (k + 1, 1))
+    rhs[..., k, 0] = 1.0
+    return np.linalg.solve(lhs, rhs)[..., 0]
 
 
 def zero_sum_value(game: StageGame) -> EquilibriumResult:
@@ -355,8 +366,9 @@ def _closed_form(a):
 def _zero_sum_strategies(a) -> tuple:
     """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``.
 
-    The uncertified per-step form of ``solve_zero_sum`` for hot loops:
-    the closed form when it applies, else the LP's strategies.
+    The uncertified per-step form of ``solve_zero_sum`` for the learner,
+    which solves one state per step: the closed form when it applies,
+    else the LP's strategies. ``stage_values`` is its form for a table.
     """
     sol = _closed_form(a)
     if sol is not None:
@@ -379,6 +391,195 @@ def solve_zero_sum(game: StageGame) -> EquilibriumResult:
         if res.deviation_gap <= CERT_TOL:
             return res
     return zero_sum_value(game)
+
+
+# ---------------------------------------------------------------------------
+# One pass over a table of zero-sum stage games
+# ---------------------------------------------------------------------------
+
+def _bilinear(x, matrix, y) -> float:
+    """``x' M y`` accumulated in a fixed order, skipping zero weights."""
+    total = 0.0
+    for i, xi in enumerate(x):
+        if xi == 0.0:
+            continue
+        row = matrix[i]
+        acc = 0.0
+        for j, yj in enumerate(y):
+            if yj != 0.0:
+                acc += yj * row[j]
+        total += xi * acc
+    return total
+
+
+def _bilinear_rows(x: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_bilinear(x[s], q[s], y[s])`` for every ``s``, in the same order of operations."""
+    acc = np.zeros(q.shape[:2])
+    for j in range(q.shape[2]):
+        w = y[:, j, None]
+        acc = np.where(w != 0.0, acc + w * q[:, :, j], acc)
+    total = np.zeros(q.shape[0])
+    for i in range(q.shape[1]):
+        w = x[:, i]
+        total = np.where(w != 0.0, total + w * acc[:, i], total)
+    return total
+
+
+def _closed_forms(q: np.ndarray) -> tuple:
+    """``_closed_form`` of every ``q[s]`` as array operations: ``(x, y, closed)``.
+
+    Pure saddles by the scan (``argmax``/``argmin`` keep the first index
+    of a tie, as ``list.index`` does), then 2x2 games by the mixing
+    formula. ``closed`` masks the states either one solved; the other
+    rows of ``x`` and ``y`` are zero.
+    """
+    if not np.isfinite(q).all():
+        raise ValueError("payoff matrices must be finite")
+    ns, m, n = q.shape
+    x = np.zeros((ns, m))
+    y = np.zeros((ns, n))
+    # Elementwise folds: numpy's reductions over a short last axis are slow.
+    row_min = functools.reduce(np.minimum, (q[:, :, j] for j in range(n)))
+    col_max = functools.reduce(np.maximum, (q[:, i, :] for i in range(m)))
+    lower = functools.reduce(np.maximum, row_min.T)
+    upper = functools.reduce(np.minimum, col_max.T)
+    saddle = np.flatnonzero(lower == upper)
+    x[saddle, row_min[saddle].argmax(axis=1)] = 1.0
+    y[saddle, col_max[saddle].argmin(axis=1)] = 1.0
+    closed = np.zeros(ns, dtype=bool)
+    closed[saddle] = True
+    if m == n == 2:
+        mixed = np.flatnonzero(~closed)
+        (p11, p12), (p21, p22) = q[mixed].transpose(1, 2, 0)
+        den = (p11 - p12) + (p22 - p21)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = (p22 - p21) / den
+            r = (p22 - p12) / den
+        ok = (den != 0.0) & (0.0 <= p) & (p <= 1.0) & (0.0 <= r) & (r <= 1.0)
+        mixed, p, r = mixed[ok], p[ok], r[ok]
+        x[mixed] = np.stack([p, 1.0 - p], axis=1)
+        y[mixed] = np.stack([r, 1.0 - r], axis=1)
+        closed[mixed] = True
+    return x, y, closed
+
+
+def _results(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """``_result(StageGame(a[s], 0.0 - a[s]), x[s], y[s])`` for every row, as arrays.
+
+    Returns ``(x, y, value_p1, value_p2, deviation_gap)``. The stacked
+    products run the same kernels as ``_result`` and ``deviation_gap``
+    do on one game, so every row has the scalar result's bits.
+    """
+    b = 0.0 - a
+    x = np.clip(x, 0.0, None)
+    y = np.clip(y, 0.0, None)
+    x = x / x.sum(axis=1, keepdims=True)
+    y = y / y.sum(axis=1, keepdims=True)
+    xr = x[:, None, :]
+    yc = y[:, :, None]
+    pay1 = a @ yc
+    pay2 = xr @ b
+    gap1 = pay1[:, :, 0].max(axis=1) - (xr @ pay1)[:, 0, 0]
+    gap2 = pay2[:, 0, :].max(axis=1) - (pay2 @ yc)[:, 0, 0]
+    # Python's max(gap1, gap2, 0.0) keeps the first of equal values.
+    gap = np.where(gap2 > gap1, gap2, gap1)
+    gap = np.where(0.0 > gap, 0.0, gap)
+    return x, y, (xr @ a @ yc)[:, 0, 0], (xr @ b @ yc)[:, 0, 0], gap
+
+
+def _warm_or_lp(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
+    """Certified ``_results`` of the states ``rows``, which the closed form left:
+    the warm support solve, else the LP.
+
+    Each state first tries the support solve on its ``hint`` supports
+    (boolean masks, one row per state of ``q``), kept when the deviation
+    gap is within ``CERT_TOL``; the rest, or all without a hint, take
+    ``zero_sum_value``. When the LP would polish on the same supports,
+    the two routes give the same bits.
+    """
+    m, n = q.shape[1:]
+    out = (np.zeros((rows.size, m)), np.zeros((rows.size, n)),
+           np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size))
+    todo = np.ones(rows.size, dtype=bool)
+    if hint is not None:
+        sup_x, sup_y = hint[0][rows], hint[1][rows]
+        kx, ky = sup_x.sum(axis=1), sup_y.sum(axis=1)
+        for k in np.unique(kx[(kx == ky) & (kx > 0)]).tolist():
+            pick = np.flatnonzero((kx == k) & (ky == k))
+            a = q[rows[pick]]
+            ok, x, y = _support_rows(a, -a, np.nonzero(sup_x[pick])[1].reshape(-1, k),
+                                     np.nonzero(sup_y[pick])[1].reshape(-1, k))
+            pick = pick[ok]
+            res = _results(a[ok], x[ok], y[ok])
+            good = res[4] <= CERT_TOL
+            for o, r in zip(out, res):
+                o[pick[good]] = r[good]
+            todo[pick[good]] = False
+    for i in np.flatnonzero(todo).tolist():
+        a = q[rows[i]]
+        res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=0.0 - a))
+        fields = (res.strat_p1.probs, res.strat_p2.probs,
+                  res.value_p1, res.value_p2, res.deviation_gap)
+        for o, r in zip(out, fields):
+            o[i] = r
+    return out
+
+
+def stage_values(q: np.ndarray, hint=None) -> tuple:
+    """Value of every zero-sum stage game with row payoffs ``q[s]``, in one pass.
+
+    ``values[s]`` is ``x' q[s] y`` summed in ``_bilinear``'s order, for
+    the strategies ``_zero_sum_strategies(q[s])`` takes: the closed form,
+    else the certified support solve on the ``hint`` supports, else the
+    LP. Returns ``(values, supports)``; ``supports`` (boolean masks of
+    each state's row and column support) is the ``hint`` for the next
+    pass on a nearby table, such as the next value-iteration sweep.
+    """
+    x, y, closed = _closed_forms(q)
+    rest = np.flatnonzero(~closed)
+    x[rest], y[rest], *_ = _warm_or_lp(q, rest, hint)
+    return _bilinear_rows(x, q, y), (x > SUPPORT_TOL, y > SUPPORT_TOL)
+
+
+def _mixed_rows(p: np.ndarray) -> list:
+    """One ``MixedStrategy`` per row of ``p``, checked and clipped as one batch.
+
+    The rows are read-only views of one array instead of one copy each.
+    """
+    if (not np.isfinite(p).all() or p.min() < -NORM_TOL
+            or (np.abs(p.sum(axis=1) - 1.0) > NORM_TOL).any()):
+        raise ValueError("strategy rows must be probability vectors")
+    p = np.clip(p, 0.0, None)
+    p.flags.writeable = False
+    rows = []
+    for row in p:
+        s = object.__new__(MixedStrategy)
+        object.__setattr__(s, "probs", row)
+        rows.append(s)
+    return rows
+
+
+def stage_policies(q: np.ndarray, hint=None) -> list:
+    """Certified equilibrium of every zero-sum stage game ``(q[s], 0.0 - q[s])``.
+
+    The same results as ``solve_zero_sum`` state by state, in one pass:
+    the closed-form states are normalized, valued and certified as
+    arrays. A closed form that fails certification, and every state the
+    closed form leaves, goes through the ``hint`` support solve, else
+    the LP.
+    """
+    x, y, closed = _closed_forms(q)
+    cf = np.flatnonzero(closed)
+    res = _results(q[cf], x[cf], y[cf])
+    kept = res[4] <= CERT_TOL
+    rest = np.union1d(np.flatnonzero(~closed), cf[~kept])
+    out = [np.empty((q.shape[0],) + r.shape[1:]) for r in res]
+    for o, r, r_rest in zip(out, res, _warm_or_lp(q, rest, hint)):
+        o[cf[kept]] = r[kept]
+        o[rest] = r_rest
+    xs, ys, v1, v2, gap = out
+    return [EquilibriumResult(*fields) for fields in zip(
+        _mixed_rows(xs), _mixed_rows(ys), v1.tolist(), v2.tolist(), gap.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +617,45 @@ def support_enumeration(game: StageGame) -> list:
     return found
 
 
-def _support_solve(a, b, sup_x, sup_y):
-    k = sup_x.size
-    # y on sup_y equalizing the row payoffs over sup_x, and vice versa.
+def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) -> tuple:
+    """The support solve of each game ``(a[g], b[g])`` on its rows ``rx[g]``
+    and columns ``cy[g]``, all of one size ``k``: ``(ok, x, y)``.
+
+    ``y`` on the columns equalizes the row payoffs over the rows, and
+    vice versa. A game is ``ok`` unless a solved weight dips below
+    ``-SUPPORT_TOL`` or an action outside the support beats the support
+    payoff by more than ``SUPPORT_TOL``.
+    """
+    g, k = rx.shape
+    at = np.arange(g)[:, None]
+    block = (at[:, :, None], rx[:, :, None], cy[:, None, :])
     try:
-        sol_y = _indifference(a[np.ix_(sup_x, sup_y)])
-        sol_x = _indifference(b[np.ix_(sup_x, sup_y)].T)
+        sol_y = _indifference(a[block])
+        sol_x = _indifference(b[block].transpose(0, 2, 1))
     except np.linalg.LinAlgError:
-        return None
-    y_s, u = sol_y[:k], sol_y[k]
-    x_s, v = sol_x[:k], sol_x[k]
-    if y_s.min() < -SUPPORT_TOL or x_s.min() < -SUPPORT_TOL:
-        return None
-    x = np.zeros(a.shape[0])
-    y = np.zeros(a.shape[1])
-    x[sup_x] = np.clip(x_s, 0.0, None)
-    y[sup_y] = np.clip(y_s, 0.0, None)
+        if g == 1:
+            return np.zeros(1, dtype=bool), np.zeros(a.shape[:2]), np.zeros((1, a.shape[2]))
+        # One singular system fails the whole stack: solve the games one by one.
+        parts = [_support_rows(a[i:i + 1], b[i:i + 1], rx[i:i + 1], cy[i:i + 1])
+                 for i in range(g)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    y_s, u = sol_y[:, :k], sol_y[:, k]
+    x_s, v = sol_x[:, :k], sol_x[:, k]
+    ok = ~((y_s.min(axis=1) < -SUPPORT_TOL) | (x_s.min(axis=1) < -SUPPORT_TOL))
+    x = np.zeros(a.shape[:2])
+    y = np.zeros((g, a.shape[2]))
+    x[at, rx] = np.clip(x_s, 0.0, None)
+    y[at, cy] = np.clip(y_s, 0.0, None)
     # No action outside the support may beat the support payoff.
-    if (a @ y).max() > u + SUPPORT_TOL or (x @ b).max() > v + SUPPORT_TOL:
-        return None
-    return x, y
+    ok &= ~(((a @ y[:, :, None])[:, :, 0].max(axis=1) > u + SUPPORT_TOL)
+            | ((x[:, None, :] @ b)[:, 0, :].max(axis=1) > v + SUPPORT_TOL))
+    return ok, x, y
+
+
+def _support_solve(a, b, sup_x, sup_y):
+    """``(x, y)`` of the support solve of one game, or None; see ``_support_rows``."""
+    ok, x, y = _support_rows(a[None], b[None], np.asarray(sup_x)[None], np.asarray(sup_y)[None])
+    return (x[0], y[0]) if ok[0] else None
 
 
 # ---------------------------------------------------------------------------

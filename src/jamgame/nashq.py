@@ -15,9 +15,15 @@ The oracle iterates the same fixed point directly from the game's
 compiled, factored transition law (a beta-contraction in the sup norm),
 giving the reference table the learner is checked against.
 
-Stage games are solved by ``equilibria``: the hot loops take the closed
-form (pure saddle scan, 2x2 mixing formula) or the LP's strategies, and
-``extract_policy`` certifies each state through ``solve_zero_sum``.
+Stage games are solved by ``equilibria``. The learner solves one state
+per step with the scalar closed form (pure saddle scan, 2x2 mixing
+formula) or the LP's strategies. A value-iteration sweep solves every
+state in one ``stage_values`` pass: the closed form as array
+operations, then for each other state the support it had one sweep
+earlier, kept only if its deviation gap is within ``CERT_TOL``, else
+the LP. ``extract_policy`` certifies every state in one
+``stage_policies`` pass, which the oracle hints with its final sweep's
+supports.
 """
 
 from __future__ import annotations
@@ -29,7 +35,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .equilibria import ZERO_SUM_TOL, StageGame, _zero_sum_strategies, solve_zero_sum
+from .equilibria import (
+    ZERO_SUM_TOL,
+    _bilinear,
+    _zero_sum_strategies,
+    stage_policies,
+    stage_values,
+)
 from .game import _REPR, _STR, GameSpec, _label, _write_csv, fixed_policy, play
 
 __all__ = [
@@ -117,21 +129,6 @@ class ValueIterationResult:
     policies: list
     deltas: tuple  # sup-norm change per sweep
     sweeps: int
-
-
-def _bilinear(x, matrix, y) -> float:
-    """``x' M y`` accumulated in a fixed order, skipping zero weights."""
-    total = 0.0
-    for i, xi in enumerate(x):
-        if xi == 0.0:
-            continue
-        row = matrix[i]
-        acc = 0.0
-        for j, yj in enumerate(y):
-            if yj != 0.0:
-                acc += yj * row[j]
-        total += xi * acc
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +221,24 @@ def shapley_value_iteration(
     ``val`` is the zero-sum value of the stage game at each state. The
     sweep map contracts at rate ``beta`` in the sup norm, so successive
     deltas shrink geometrically; iteration stops once they reach ``tol``.
+
+    A sweep solves all stage games in one ``equilibria.stage_values``
+    pass: saddle and 2x2 states as arrays, every other state by the
+    support it had one sweep earlier, kept only if its deviation gap is
+    within ``CERT_TOL``, else by the LP. The policies are extracted with
+    the final sweep's supports as the hint.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     model = spec.compiled
     r1 = model.reward
-    ns, na, nb = r1.shape
-    q1 = np.zeros((ns, na, nb))
+    q1 = np.zeros(r1.shape)
+    hint = None
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v = np.empty(ns)
-        for si, a in enumerate(q1.tolist()):
-            x, y = _zero_sum_strategies(a)
-            v[si] = _bilinear(x, a, y)
+        v, hint = stage_values(q1, hint)
         new = r1 + spec.beta * model.expected(v)
         delta = float(np.abs(new - q1).max())
         q1 = new
@@ -247,7 +249,7 @@ def shapley_value_iteration(
         raise RuntimeError(f"value iteration did not reach tol={tol} in {max_sweeps} sweeps")
     tables = QTables(q1=q1, visits=np.zeros_like(q1, dtype=np.int64))
     return ValueIterationResult(
-        tables=tables, policies=extract_policy(tables), deltas=tuple(deltas), sweeps=sweep
+        tables=tables, policies=extract_policy(tables, hint), deltas=tuple(deltas), sweeps=sweep
     )
 
 
@@ -255,10 +257,13 @@ def shapley_value_iteration(
 # Policy extraction and rollout evaluation
 # ---------------------------------------------------------------------------
 
-def extract_policy(tables: QTables) -> list:
-    """Per-state certified equilibrium of the stage game (Q1[s], Q2[s])."""
-    return [solve_zero_sum(StageGame(payoff_p1=a, payoff_p2=b))
-            for a, b in zip(tables.q1, tables.q2)]
+def extract_policy(tables: QTables, hint=None) -> list:
+    """Per-state certified equilibrium of the stage game (Q1[s], Q2[s]).
+
+    ``hint`` is the supports ``equilibria.stage_values`` returned for a
+    nearby table; states off the closed form try them before the LP.
+    """
+    return stage_policies(tables.q1, hint)
 
 
 def policy_arrays(policies) -> tuple:

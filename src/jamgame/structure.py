@@ -82,14 +82,30 @@ class MonotoneConditionReport:
     threshold_tau: int = None  # smallest m from which the condition holds onward
 
 
+# A monotone-policy report lists at most this many witnesses per summary.
+WITNESS_CAP = 10
+
+
 @dataclass(frozen=True, eq=False)
 class MonotoneReport:
-    """Strict-increase verdict for both players under both summaries."""
+    """Strict-increase verdict for both players under both summaries.
 
-    expected_ok: bool
+    ``*_failures`` counts the dominating pairs that fail; ``*_witnesses``
+    lists the first ``WITNESS_CAP`` of them.
+    """
+
+    expected_failures: int
     expected_witnesses: tuple
-    argmax_ok: bool
+    argmax_failures: int
     argmax_witnesses: tuple
+
+    @property
+    def expected_ok(self) -> bool:
+        return self.expected_failures == 0
+
+    @property
+    def argmax_ok(self) -> bool:
+        return self.argmax_failures == 0
 
 
 def _action_pairs(n: int) -> np.ndarray:
@@ -299,8 +315,9 @@ def check_monotone_policy(
     the summary of the dominating state to be strictly larger (argmax
     summary: at least as large, strictly in tau-spanning chains is not
     enforced -- ties are reported as witnesses). Pairs with either state
-    below ``min_tau`` are skipped. Witnesses ``(i, j)`` run over the
-    dominating state ``i``, then the dominated ``j``, in state order.
+    below ``min_tau`` are skipped. Failing pairs are counted; the first
+    ``WITNESS_CAP`` are kept as witnesses ``(i, j)``, ordered by the
+    dominating state ``i``, then the dominated ``j``.
     """
     acts_a = np.array(spec.actions_attacker)
     acts_b = np.array(spec.actions_sensor)
@@ -311,18 +328,21 @@ def check_monotone_policy(
     points = np.array([(s.tau, s.g_s, s.g_a) for s in spec.states])
     keep = np.flatnonzero(points[:, 0] >= min_tau)
     points = np.asfortranarray(points[keep])
+    exp_fail = arg_fail = 0
     exp_wit = []
     arg_wit = []
     for r, i in enumerate(keep.tolist()):
         lo = keep[_strictly_below(points, r)]
-        exp_bad = ~((exp_a[i] > exp_a[lo]) & (exp_b[i] > exp_b[lo]))
-        arg_bad = ~((arg_a[i] >= arg_a[lo]) & (arg_b[i] >= arg_b[lo]))
-        exp_wit += [(i, j) for j in lo[exp_bad].tolist()]
-        arg_wit += [(i, j) for j in lo[arg_bad].tolist()]
+        exp_bad = lo[~((exp_a[i] > exp_a[lo]) & (exp_b[i] > exp_b[lo]))]
+        arg_bad = lo[~((arg_a[i] >= arg_a[lo]) & (arg_b[i] >= arg_b[lo]))]
+        exp_fail += exp_bad.size
+        arg_fail += arg_bad.size
+        exp_wit += [(i, j) for j in exp_bad[:WITNESS_CAP - len(exp_wit)].tolist()]
+        arg_wit += [(i, j) for j in arg_bad[:WITNESS_CAP - len(arg_wit)].tolist()]
     return MonotoneReport(
-        expected_ok=not exp_wit,
+        expected_failures=exp_fail,
         expected_witnesses=tuple(exp_wit),
-        argmax_ok=not arg_wit,
+        argmax_failures=arg_fail,
         argmax_witnesses=tuple(arg_wit),
     )
 
@@ -413,7 +433,7 @@ def structure_report(spec: GameSpec, oracle) -> dict:
         "supermodular_witness": list(map(list, sup_wit[:2])) if sup_wit else None,
         "monotone_expected_action": mono.expected_ok,
         "monotone_argmax_action": mono.argmax_ok,
-        "monotone_witnesses": [list(w) for w in mono.expected_witnesses[:10]],
+        "monotone_witnesses": [list(w) for w in mono.expected_witnesses],
         "reward_cancellation_exact": d1_exact,
         "reward_cancellation_float_residue": d1_float,
         "continuation_difference_positive": d2_ok,

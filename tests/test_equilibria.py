@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 import numpy_reference
 import two_lp_reference
+from solver_probes import bits, count_lp_calls
 
 from jamgame import equilibria
 from jamgame.equilibria import (
@@ -14,6 +15,7 @@ from jamgame.equilibria import (
     MixedStrategy,
     PivotLimitError,
     StageGame,
+    _bilinear,
     _closed_form,
     deviation_gap,
     lemke_howson,
@@ -21,6 +23,8 @@ from jamgame.equilibria import (
     read_stage_game,
     solve_stage,
     solve_zero_sum,
+    stage_policies,
+    stage_values,
     support_enumeration,
     zero_sum_value,
 )
@@ -259,6 +263,56 @@ class TestSolveZeroSum:
         assert res.strat_p1.probs.tolist() == [1.0, 0.0]
         assert res.strat_p2.probs.tolist() == [0.0, 1.0, 0.0]
         assert res.value_p1 == 4.0
+
+
+class TestStagePass:
+    """``stage_values``/``stage_policies`` on a table of games against the scalar
+    routes state by state, cold (LP) and warm (hinted supports)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 4), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_routes_bit_for_bit(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(16, m, n))
+        q[:6] = np.round(q[:6])  # saddles with tied rows and columns
+        want_values = []
+        for a in q.tolist():
+            x, y = _zero_sum_strategies(a)
+            want_values.append(_bilinear(x, a, y))
+        want_policies = [solve_zero_sum(zero_sum(a)) for a in q]
+        with pytest.MonkeyPatch.context() as mp:
+            lps = count_lp_calls(mp)
+            _, hint = stage_values(q)
+            cold = len(lps)
+            for warm in (None, hint):
+                values, _ = stage_values(q, warm)
+                assert np.array_equal(bits(values), bits(want_values))
+                for got, want in zip(stage_policies(q, warm), want_policies):
+                    assert np.array_equal(bits(got.strat_p1.probs), bits(want.strat_p1.probs))
+                    assert np.array_equal(bits(got.strat_p2.probs), bits(want.strat_p2.probs))
+                    assert np.array_equal(
+                        bits([got.value_p1, got.value_p2, got.deviation_gap]),
+                        bits([want.value_p1, want.value_p2, want.deviation_gap]))
+        # An LP state's own supports certify unless the LP point stood with
+        # supports of different sizes; only those reach the LP when warm.
+        unequal = int((hint[0].sum(axis=1) != hint[1].sum(axis=1)).sum())
+        assert len(lps) == 3 * cold + 2 * unequal
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, bad):
+        q = np.zeros((3, 2, 2))
+        q[1, 0, 1] = bad
+        for solve in (stage_values, stage_policies):
+            with pytest.raises(ValueError, match="finite"):
+                solve(q)
+
+    def test_wrong_hint_falls_back_to_the_lp(self, monkeypatch):
+        rps = np.array([[[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]])
+        pure = (np.array([[True, False, False]]), np.array([[True, False, False]]))
+        lps = count_lp_calls(monkeypatch)
+        (res,) = stage_policies(rps, pure)
+        assert len(lps) == 1
+        assert np.allclose(res.strat_p1.probs, 1 / 3) and res.deviation_gap <= CERT_TOL
 
 
 class TestSupportEnumeration:

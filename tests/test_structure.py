@@ -13,6 +13,7 @@ from jamgame.estimation import SystemModel
 from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import (
+    WITNESS_CAP,
     check_monotone_policy,
     check_q_supermodular,
     check_supermodular,
@@ -330,14 +331,19 @@ def _tied_mixes(n):
 
 def _assert_order_checks_match_loops(spec, tables, policies, min_taus):
     """Supermodularity, policy monotonicity and the reward cancellation against the
-    pair loops: verdicts, witnesses and their order, margins, exact flag and residue."""
+    pair loops: verdicts, failure counts, the first witnesses and their order,
+    margins, exact flag and residue."""
     for q in tables:
         lattice = game_q_lattice(spec, q, max_tau=spec.tau_max - 1)
         assert repr(check_q_supermodular(spec, q)) == repr(ref.check_supermodular(lattice, 3))
     for min_tau in min_taus:
         rep = check_monotone_policy(spec, policies, min_tau=min_tau)
-        got = (rep.expected_ok, rep.expected_witnesses, rep.argmax_ok, rep.argmax_witnesses)
-        assert repr(got) == repr(ref.check_monotone_policy(spec, policies, min_tau))
+        got = (rep.expected_ok, rep.expected_failures, rep.expected_witnesses,
+               rep.argmax_ok, rep.argmax_failures, rep.argmax_witnesses)
+        exp_ok, exp_wit, arg_ok, arg_wit = ref.check_monotone_policy(spec, policies, min_tau)
+        want = (exp_ok, len(exp_wit), exp_wit[:WITNESS_CAP],
+                arg_ok, len(arg_wit), arg_wit[:WITNESS_CAP])
+        assert repr(got) == repr(want)
     want = (ref.reward_cancellation_exact(spec), ref.reward_float_residue(spec))
     assert repr(reward_cancellation_residual(spec)) == repr(want)
 
@@ -358,7 +364,8 @@ class TestOrderChecksMatchPairLoops:
         ok, wit = check_q_supermodular(spec, scaled_oracle.tables.q2)
         assert not ok and wit[2] <= 0
         rep = check_monotone_policy(spec, scaled_oracle.policies, min_tau=1)
-        assert len(rep.expected_witnesses) > 10
+        assert rep.expected_failures > WITNESS_CAP
+        assert len(rep.expected_witnesses) == WITNESS_CAP
         assert all(spec.states[j].tau >= 1 for _, j in rep.expected_witnesses)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
