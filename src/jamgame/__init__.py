@@ -32,7 +32,6 @@ from .equilibria import (
     StageGame,
     deviation_gap,
     lemke_howson,
-    solve_zero_sum,
     support_enumeration,
     zero_sum_value,
 )

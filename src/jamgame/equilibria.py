@@ -9,26 +9,32 @@ Three routes are provided and cross-checked in the test suite:
 * ``support_enumeration`` -- exhaustive support pairs for desk-scale
   games, used as the independent oracle.
 
-``solve_zero_sum`` is the one certified zero-sum entry point: a pure
-saddle scan and the 2x2 mixing formula, with the LP as the fallback.
-The maximin LP takes one payoff block per pair of player types, so the
+``solve_stage`` sends zero-sum games to ``zero_sum_value`` and the rest
+to Lemke-Howson, with support enumeration as the last resort. The
+maximin LP takes one payoff block per pair of player types, so the
 Bayesian variant (``bayesian.solve_bayesian``) is solved by it too.
 
 ``stage_values`` and ``stage_policies`` solve a whole table of zero-sum
-stage games ``q[s]`` in one pass, with the same results as the scalar
-routes state by state: the saddle scan and the 2x2 formula run as array
-operations, and each remaining state first tries the support it had in
-the previous pass (a support hint), kept only when its deviation gap is
-within ``CERT_TOL``, before the LP.
+stage games ``q[s]`` in one pass: the saddle scan and the 2x2 formula
+run as array operations, and each remaining state first tries the
+support it had in the previous pass (a support hint), kept only when its
+deviation gap is within ``CERT_TOL``, before the LP.
 
-Every result is certified against the *original* payoff matrices via
-``deviation_gap``; tolerances are centralized below.
+Each solver job has one implementation, written for a stack of games,
+and a single game is a one-row call of it: the certificate
+(``_certificates``: values and deviation gaps of mix pairs), the support
+solve (``_support_rows``) and the LP polish (``_lp_results``: one maximin
+LP per game, then one batched support solve per support size).
+
+Every result is certified against the *original* payoff matrices;
+tolerances are centralized below.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,6 @@ __all__ = [
     "deviation_gap",
     "lemke_howson",
     "zero_sum_value",
-    "solve_zero_sum",
     "stage_values",
     "stage_policies",
     "support_enumeration",
@@ -136,35 +141,82 @@ class EquilibriumResult:
     deviation_gap: float
 
 
+def _certificates(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """``(value_p1, value_p2, deviation_gap)`` of each mix pair ``(x[g], y[g])``
+    in the game ``(a[g], b[g])``, as arrays.
+
+    The deviation gap is the largest unilateral pure-deviation
+    improvement: zero (within tolerance) if and only if the pair is a
+    Nash equilibrium. Every row runs the BLAS kernels it would run alone,
+    so a row's bits do not depend on the rest of the stack.
+    """
+    xr = x[:, None, :]
+    yc = y[:, :, None]
+    pay1 = a @ yc
+    pay2 = xr @ b
+    v2 = (pay2 @ yc)[:, 0, 0]
+    gap1 = pay1[:, :, 0].max(axis=1) - (xr @ pay1)[:, 0, 0]
+    gap2 = pay2[:, 0, :].max(axis=1) - v2
+    # max(gap1, gap2, 0.0), keeping the first of equal values.
+    gap = np.where(gap2 > gap1, gap2, gap1)
+    gap = np.where(0.0 > gap, 0.0, gap)
+    return (xr @ a @ yc)[:, 0, 0], v2, gap
+
+
+def _results(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Each mix pair clipped at zero, normalized and certified in its game
+    ``(a[g], b[g])``: ``(x, y, value_p1, value_p2, deviation_gap)``."""
+    x = np.maximum(x, 0.0)
+    y = np.maximum(y, 0.0)
+    x = x / x.sum(axis=1, keepdims=True)
+    y = y / y.sum(axis=1, keepdims=True)
+    return (x, y) + _certificates(a, b, x, y)
+
+
+def _mixed_rows(p: np.ndarray) -> list:
+    """One ``MixedStrategy`` per row of ``p``, each a read-only view of it."""
+    p.flags.writeable = False
+    rows = []
+    for row in p:
+        s = object.__new__(MixedStrategy)
+        object.__setattr__(s, "probs", row)
+        rows.append(s)
+    return rows
+
+
+def _equilibria(res: tuple) -> list:
+    """One ``EquilibriumResult`` per row of a ``_results`` tuple.
+
+    Its mixes are clipped and normalized, so each row is a probability
+    vector unless its weights summed to zero or to infinity, which leaves
+    a NaN: one finiteness check covers them all.
+    """
+    xs, ys, v1, v2, gap = res
+    if not math.isfinite(xs.sum() + ys.sum()):
+        raise ValueError("strategy rows must be probability vectors")
+    return [EquilibriumResult(*fields) for fields in zip(
+        _mixed_rows(xs), _mixed_rows(ys), v1.tolist(), v2.tolist(), gap.tolist())]
+
+
 def deviation_gap(game: StageGame, s1, s2) -> float:
     """Largest unilateral pure-deviation improvement over the given mix pair.
 
     Zero (within tolerance) if and only if the pair is a Nash equilibrium.
+    The mixes are taken as given, neither clipped nor normalized.
     """
     x = s1.probs if isinstance(s1, MixedStrategy) else np.asarray(s1, dtype=float)
     y = s2.probs if isinstance(s2, MixedStrategy) else np.asarray(s2, dtype=float)
     m, n = game.shape
     if x.shape != (m,) or y.shape != (n,):
         raise ValueError("strategy dimensions do not match the game")
-    payoff1 = game.payoff_p1 @ y
-    payoff2 = x @ game.payoff_p2
-    v1 = float(x @ payoff1)
-    v2 = float(payoff2 @ y)
-    gap1 = float(payoff1.max()) - v1
-    gap2 = float(payoff2.max()) - v2
-    return max(gap1, gap2, 0.0)
+    gap = _certificates(game.payoff_p1[None], game.payoff_p2[None], x[None], y[None])[2]
+    return float(gap[0])
 
 
-def _result(game: StageGame, x: np.ndarray, y: np.ndarray) -> EquilibriumResult:
-    x = np.clip(x, 0.0, None)
-    y = np.clip(y, 0.0, None)
-    x = x / x.sum()
-    y = y / y.sum()
-    s1 = MixedStrategy(x)
-    s2 = MixedStrategy(y)
-    v1 = float(x @ game.payoff_p1 @ y)
-    v2 = float(x @ game.payoff_p2 @ y)
-    return EquilibriumResult(s1, s2, v1, v2, deviation_gap(game, s1, s2))
+def _result(game: StageGame, x, y) -> EquilibriumResult:
+    """The mix pair clipped at zero, normalized and certified in ``game``."""
+    x, y = np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None]
+    return _equilibria(_results(game.payoff_p1[None], game.payoff_p2[None], x, y))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +311,7 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# Zero-sum linear programming
+# Support solve and zero-sum linear programming
 # ---------------------------------------------------------------------------
 
 def _maximin_lp(blocks: np.ndarray) -> tuple:
@@ -309,31 +361,88 @@ def _indifference(sub: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)[..., 0]
 
 
+def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) -> tuple:
+    """The support solve of each game ``(a[g], b[g])`` on its rows ``rx[g]``
+    and columns ``cy[g]``, all of one size ``k``: ``(ok, x, y)``.
+
+    ``y`` on the columns equalizes the row payoffs over the rows, and
+    vice versa. A game is ``ok`` unless a solved weight dips below
+    ``-SUPPORT_TOL`` or an action outside the support beats the support
+    payoff by more than ``SUPPORT_TOL``.
+    """
+    g, k = rx.shape
+    at = np.arange(g)[:, None]
+    block = (at[:, :, None], rx[:, :, None], cy[:, None, :])
+    try:
+        sol_y = _indifference(a[block])
+        sol_x = _indifference(b[block].transpose(0, 2, 1))
+    except np.linalg.LinAlgError:
+        if g == 1:
+            return np.zeros(1, dtype=bool), np.zeros(a.shape[:2]), np.zeros((1, a.shape[2]))
+        # One singular system fails the whole stack: solve the games one by one.
+        parts = [_support_rows(a[i:i + 1], b[i:i + 1], rx[i:i + 1], cy[i:i + 1])
+                 for i in range(g)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    y_s, u = sol_y[:, :k], sol_y[:, k]
+    x_s, v = sol_x[:, :k], sol_x[:, k]
+    ok = ~((y_s.min(axis=1) < -SUPPORT_TOL) | (x_s.min(axis=1) < -SUPPORT_TOL))
+    x = np.zeros(a.shape[:2])
+    y = np.zeros((g, a.shape[2]))
+    x[at, rx] = np.clip(x_s, 0.0, None)
+    y[at, cy] = np.clip(y_s, 0.0, None)
+    # No action outside the support may beat the support payoff.
+    ok &= ~(((a @ y[:, :, None])[:, :, 0].max(axis=1) > u + SUPPORT_TOL)
+            | ((x[:, None, :] @ b)[:, 0, :].max(axis=1) > v + SUPPORT_TOL))
+    return ok, x, y
+
+
+def _square_supports(a: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray):
+    """The support solve of each zero-sum game ``a[g]`` whose row and column
+    support masks ``sup_x[g]``, ``sup_y[g]`` have one size.
+
+    One ``_support_rows`` call per size; yields ``(rows, x, y)`` for the
+    games of that size where the solve succeeded.
+    """
+    kx, ky = sup_x.sum(axis=1), sup_y.sum(axis=1)
+    for k in np.unique(kx[(kx == ky) & (kx > 0)]).tolist():
+        pick = np.flatnonzero((kx == k) & (ky == k))
+        ok, x, y = _support_rows(a[pick], -a[pick], np.nonzero(sup_x[pick])[1].reshape(-1, k),
+                                 np.nonzero(sup_y[pick])[1].reshape(-1, k))
+        yield pick[ok], x[ok], y[ok]
+
+
+def _lp_results(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Certified ``_results`` of each zero-sum game ``(a[g], b[g])`` by linear programming.
+
+    One maximin LP per game gives both strategies: the row mix from its
+    primal, the column mix from its duals. Where the two supports have
+    the same size, the support solve polishes them to machine precision
+    so the certificate holds at ``CERT_TOL``; elsewhere the LP point
+    stands. Raises ``RuntimeError`` when a gap exceeds ``CERT_TOL``.
+    """
+    x = np.empty(a.shape[:2])
+    y = np.empty((a.shape[0], a.shape[2]))
+    for g, game in enumerate(a):
+        xg, yg = _maximin_lp(game[None, None])
+        x[g], y[g] = xg[0], yg[0]
+    for rows, xs, ys in _square_supports(a, x > SUPPORT_TOL, y > SUPPORT_TOL):
+        x[rows], y[rows] = xs, ys
+    res = _results(a, b, x, y)
+    over = res[4][res[4] > CERT_TOL]
+    if over.size:
+        raise RuntimeError(f"LP equilibrium failed certification (gap {over[0]})")
+    return res
+
+
 def zero_sum_value(game: StageGame) -> EquilibriumResult:
     """Solve a zero-sum game by linear programming, certified.
 
-    One maximin LP on ``payoff_p1`` gives both strategies: the row mix
-    from its primal, the column mix from its duals. When the two supports
-    have the same size, the support solve of ``support_enumeration``
-    polishes them to machine precision so the certificate holds at
-    ``CERT_TOL``; otherwise the LP point stands.
+    The maximin LP, polished by the support solve (``_lp_results`` on one
+    row); the certificate is taken on the game's own payoff matrices.
     """
     if not game.zero_sum:
         raise ValueError("zero_sum_value requires payoff_p1 + payoff_p2 = 0")
-    a = game.payoff_p1
-    (x,), (y,) = _maximin_lp(a[None, None])
-    sup_x = np.nonzero(x > SUPPORT_TOL)[0]
-    sup_y = np.nonzero(y > SUPPORT_TOL)[0]
-    if sup_x.size == sup_y.size:
-        sol = _support_solve(a, -a, sup_x, sup_y)
-        if sol is not None:
-            x, y = sol
-    res = _result(game, x, y)
-    if res.deviation_gap > CERT_TOL:
-        raise RuntimeError(
-            f"LP equilibrium failed certification (gap {res.deviation_gap})"
-        )
-    return res
+    return _equilibria(_lp_results(game.payoff_p1[None], game.payoff_p2[None]))[0]
 
 
 def _closed_form(a):
@@ -366,31 +475,15 @@ def _closed_form(a):
 def _zero_sum_strategies(a) -> tuple:
     """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``.
 
-    The uncertified per-step form of ``solve_zero_sum`` for the learner,
-    which solves one state per step: the closed form when it applies,
-    else the LP's strategies. ``stage_values`` is its form for a table.
+    The closed form when it applies, uncertified, else the strategies of
+    ``zero_sum_value``. The learner solves one state per step with it;
+    ``stage_values`` is its form for a table.
     """
     sol = _closed_form(a)
     if sol is not None:
         return sol
     res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=-np.array(a)))
     return res.strat_p1.probs.tolist(), res.strat_p2.probs.tolist()
-
-
-def solve_zero_sum(game: StageGame) -> EquilibriumResult:
-    """Certified equilibrium of a zero-sum game.
-
-    The closed form (pure saddle, 2x2 mixing) is taken when its deviation
-    gap is within ``CERT_TOL``; otherwise the LP solves the game.
-    """
-    if not game.zero_sum:
-        raise ValueError("solve_zero_sum requires payoff_p1 + payoff_p2 = 0")
-    sol = _closed_form(game.payoff_p1.tolist())
-    if sol is not None:
-        res = _result(game, *sol)
-        if res.deviation_gap <= CERT_TOL:
-            return res
-    return zero_sum_value(game)
 
 
 # ---------------------------------------------------------------------------
@@ -463,30 +556,6 @@ def _closed_forms(q: np.ndarray) -> tuple:
     return x, y, closed
 
 
-def _results(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """``_result(StageGame(a[s], 0.0 - a[s]), x[s], y[s])`` for every row, as arrays.
-
-    Returns ``(x, y, value_p1, value_p2, deviation_gap)``. The stacked
-    products run the same kernels as ``_result`` and ``deviation_gap``
-    do on one game, so every row has the scalar result's bits.
-    """
-    b = 0.0 - a
-    x = np.clip(x, 0.0, None)
-    y = np.clip(y, 0.0, None)
-    x = x / x.sum(axis=1, keepdims=True)
-    y = y / y.sum(axis=1, keepdims=True)
-    xr = x[:, None, :]
-    yc = y[:, :, None]
-    pay1 = a @ yc
-    pay2 = xr @ b
-    gap1 = pay1[:, :, 0].max(axis=1) - (xr @ pay1)[:, 0, 0]
-    gap2 = pay2[:, 0, :].max(axis=1) - (pay2 @ yc)[:, 0, 0]
-    # Python's max(gap1, gap2, 0.0) keeps the first of equal values.
-    gap = np.where(gap2 > gap1, gap2, gap1)
-    gap = np.where(0.0 > gap, 0.0, gap)
-    return x, y, (xr @ a @ yc)[:, 0, 0], (xr @ b @ yc)[:, 0, 0], gap
-
-
 def _warm_or_lp(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
     """Certified ``_results`` of the states ``rows``, which the closed form left:
     the warm support solve, else the LP.
@@ -494,34 +563,23 @@ def _warm_or_lp(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
     Each state first tries the support solve on its ``hint`` supports
     (boolean masks, one row per state of ``q``), kept when the deviation
     gap is within ``CERT_TOL``; the rest, or all without a hint, take
-    ``zero_sum_value``. When the LP would polish on the same supports,
-    the two routes give the same bits.
+    ``_lp_results``. When the LP would polish on the same supports, the
+    two routes give the same bits.
     """
-    m, n = q.shape[1:]
-    out = (np.zeros((rows.size, m)), np.zeros((rows.size, n)),
-           np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size))
-    todo = np.ones(rows.size, dtype=bool)
+    a = q[rows]
+    g, m, n = a.shape
+    out = (np.zeros((g, m)), np.zeros((g, n)), np.zeros(g), np.zeros(g), np.zeros(g))
+    todo = np.ones(g, dtype=bool)
     if hint is not None:
-        sup_x, sup_y = hint[0][rows], hint[1][rows]
-        kx, ky = sup_x.sum(axis=1), sup_y.sum(axis=1)
-        for k in np.unique(kx[(kx == ky) & (kx > 0)]).tolist():
-            pick = np.flatnonzero((kx == k) & (ky == k))
-            a = q[rows[pick]]
-            ok, x, y = _support_rows(a, -a, np.nonzero(sup_x[pick])[1].reshape(-1, k),
-                                     np.nonzero(sup_y[pick])[1].reshape(-1, k))
-            pick = pick[ok]
-            res = _results(a[ok], x[ok], y[ok])
+        for pick, x, y in _square_supports(a, hint[0][rows], hint[1][rows]):
+            res = _results(a[pick], 0.0 - a[pick], x, y)
             good = res[4] <= CERT_TOL
             for o, r in zip(out, res):
                 o[pick[good]] = r[good]
             todo[pick[good]] = False
-    for i in np.flatnonzero(todo).tolist():
-        a = q[rows[i]]
-        res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=0.0 - a))
-        fields = (res.strat_p1.probs, res.strat_p2.probs,
-                  res.value_p1, res.value_p2, res.deviation_gap)
-        for o, r in zip(out, fields):
-            o[i] = r
+    lp = np.flatnonzero(todo)
+    for o, r in zip(out, _lp_results(a[lp], 0.0 - a[lp])):
+        o[lp] = r
     return out
 
 
@@ -541,45 +599,24 @@ def stage_values(q: np.ndarray, hint=None) -> tuple:
     return _bilinear_rows(x, q, y), (x > SUPPORT_TOL, y > SUPPORT_TOL)
 
 
-def _mixed_rows(p: np.ndarray) -> list:
-    """One ``MixedStrategy`` per row of ``p``, checked and clipped as one batch.
-
-    The rows are read-only views of one array instead of one copy each.
-    """
-    if (not np.isfinite(p).all() or p.min() < -NORM_TOL
-            or (np.abs(p.sum(axis=1) - 1.0) > NORM_TOL).any()):
-        raise ValueError("strategy rows must be probability vectors")
-    p = np.clip(p, 0.0, None)
-    p.flags.writeable = False
-    rows = []
-    for row in p:
-        s = object.__new__(MixedStrategy)
-        object.__setattr__(s, "probs", row)
-        rows.append(s)
-    return rows
-
-
 def stage_policies(q: np.ndarray, hint=None) -> list:
     """Certified equilibrium of every zero-sum stage game ``(q[s], 0.0 - q[s])``.
 
-    The same results as ``solve_zero_sum`` state by state, in one pass:
-    the closed-form states are normalized, valued and certified as
-    arrays. A closed form that fails certification, and every state the
-    closed form leaves, goes through the ``hint`` support solve, else
-    the LP.
+    The closed form where it certifies, in one pass: the closed-form
+    states are normalized, valued and certified as arrays. A closed form
+    that fails certification, and every state the closed form leaves,
+    goes through the ``hint`` support solve, else the LP.
     """
     x, y, closed = _closed_forms(q)
     cf = np.flatnonzero(closed)
-    res = _results(q[cf], x[cf], y[cf])
+    res = _results(q[cf], 0.0 - q[cf], x[cf], y[cf])
     kept = res[4] <= CERT_TOL
     rest = np.union1d(np.flatnonzero(~closed), cf[~kept])
     out = [np.empty((q.shape[0],) + r.shape[1:]) for r in res]
     for o, r, r_rest in zip(out, res, _warm_or_lp(q, rest, hint)):
         o[cf[kept]] = r[kept]
         o[rest] = r_rest
-    xs, ys, v1, v2, gap = out
-    return [EquilibriumResult(*fields) for fields in zip(
-        _mixed_rows(xs), _mixed_rows(ys), v1.tolist(), v2.tolist(), gap.tolist())]
+    return _equilibria(out)
 
 
 # ---------------------------------------------------------------------------
@@ -591,71 +628,31 @@ def support_enumeration(game: StageGame) -> list:
 
     Enumerates equal-size support pairs, solves each indifference system,
     keeps solutions that stay in the simplex and admit no profitable
-    outside action. Exponential; restricted to matrices up to 5x5.
+    outside action. Exponential; restricted to matrices up to 5x5. The
+    pairs of one size are solved and certified as one stack; results
+    come in order of size, then row support, then column support.
     """
     m, n = game.shape
     if m > 5 or n > 5:
         raise ValueError("support enumeration is limited to 5x5 games")
-    a, b = game.payoff_p1, game.payoff_p2
     found = []
     seen = set()
     for k in range(1, min(m, n) + 1):
-        for sup_x in itertools.combinations(range(m), k):
-            for sup_y in itertools.combinations(range(n), k):
-                sol = _support_solve(a, b, np.array(sup_x), np.array(sup_y))
-                if sol is None:
-                    continue
-                x, y = sol
-                res = _result(game, x, y)
-                if res.deviation_gap > CERT_TOL:
-                    continue
-                key = (tuple(np.round(res.strat_p1.probs, 9)),
-                       tuple(np.round(res.strat_p2.probs, 9)))
-                if key not in seen:
-                    seen.add(key)
-                    found.append(res)
+        rx = np.array(list(itertools.combinations(range(m), k)))
+        cy = np.array(list(itertools.combinations(range(n), k)))
+        rx, cy = np.repeat(rx, len(cy), axis=0), np.tile(cy, (len(rx), 1))
+        a = np.broadcast_to(game.payoff_p1, (len(rx), m, n))
+        b = np.broadcast_to(game.payoff_p2, (len(rx), m, n))
+        ok, x, y = _support_rows(a, b, rx, cy)
+        res = _results(a[ok], b[ok], x[ok], y[ok])
+        certified = ~(res[4] > CERT_TOL)
+        for eq in _equilibria([r[certified] for r in res]):
+            key = (tuple(np.round(eq.strat_p1.probs, 9)),
+                   tuple(np.round(eq.strat_p2.probs, 9)))
+            if key not in seen:
+                seen.add(key)
+                found.append(eq)
     return found
-
-
-def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) -> tuple:
-    """The support solve of each game ``(a[g], b[g])`` on its rows ``rx[g]``
-    and columns ``cy[g]``, all of one size ``k``: ``(ok, x, y)``.
-
-    ``y`` on the columns equalizes the row payoffs over the rows, and
-    vice versa. A game is ``ok`` unless a solved weight dips below
-    ``-SUPPORT_TOL`` or an action outside the support beats the support
-    payoff by more than ``SUPPORT_TOL``.
-    """
-    g, k = rx.shape
-    at = np.arange(g)[:, None]
-    block = (at[:, :, None], rx[:, :, None], cy[:, None, :])
-    try:
-        sol_y = _indifference(a[block])
-        sol_x = _indifference(b[block].transpose(0, 2, 1))
-    except np.linalg.LinAlgError:
-        if g == 1:
-            return np.zeros(1, dtype=bool), np.zeros(a.shape[:2]), np.zeros((1, a.shape[2]))
-        # One singular system fails the whole stack: solve the games one by one.
-        parts = [_support_rows(a[i:i + 1], b[i:i + 1], rx[i:i + 1], cy[i:i + 1])
-                 for i in range(g)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    y_s, u = sol_y[:, :k], sol_y[:, k]
-    x_s, v = sol_x[:, :k], sol_x[:, k]
-    ok = ~((y_s.min(axis=1) < -SUPPORT_TOL) | (x_s.min(axis=1) < -SUPPORT_TOL))
-    x = np.zeros(a.shape[:2])
-    y = np.zeros((g, a.shape[2]))
-    x[at, rx] = np.clip(x_s, 0.0, None)
-    y[at, cy] = np.clip(y_s, 0.0, None)
-    # No action outside the support may beat the support payoff.
-    ok &= ~(((a @ y[:, :, None])[:, :, 0].max(axis=1) > u + SUPPORT_TOL)
-            | ((x[:, None, :] @ b)[:, 0, :].max(axis=1) > v + SUPPORT_TOL))
-    return ok, x, y
-
-
-def _support_solve(a, b, sup_x, sup_y):
-    """``(x, y)`` of the support solve of one game, or None; see ``_support_rows``."""
-    ok, x, y = _support_rows(a[None], b[None], np.asarray(sup_x)[None], np.asarray(sup_y)[None])
-    return (x[0], y[0]) if ok[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +662,12 @@ def _support_solve(a, b, sup_x, sup_y):
 def solve_stage(game: StageGame) -> EquilibriumResult:
     """One certified equilibrium, deterministically selected.
 
-    Zero-sum games go through ``solve_zero_sum``. Otherwise Lemke-Howson runs
+    Zero-sum games go to ``zero_sum_value``. Otherwise Lemke-Howson runs
     are tried at increasing initial labels and the first certified result
     wins; support enumeration is the last resort for small games.
     """
     if game.zero_sum:
-        return solve_zero_sum(game)
+        return zero_sum_value(game)
     m, n = game.shape
     for label in range(m + n):
         try:

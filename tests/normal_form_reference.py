@@ -2,19 +2,21 @@
 
 Before ``solve_bayesian`` solved one LP over per-type mixes, it expanded
 the game into a matrix over type-contingent pure strategies (every map
-from own type to action), solved that with ``solve_zero_sum`` and
-marginalized the mixed solution back into one action distribution per
-type. The matrix has ``|actions|^|types|`` rows and columns per player,
-so it only serves games up to desk scale. The tests check that the
-per-type LP certifies and agrees with it.
+from own type to action), solved that with ``solve_zero_sum`` (now in
+``single_game_reference``) and marginalized the mixed solution back into
+one action distribution per type. The matrix has ``|actions|^|types|``
+rows and columns per player, so it only serves games up to desk scale.
+The tests check that the per-type LP certifies and agrees with it.
 """
 
 import itertools
 
 import numpy as np
 
+from single_game_reference import solve_zero_sum
+
 from jamgame.bayesian import BayesResult, TypeStrategy, bayes_deviation_gap
-from jamgame.equilibria import StageGame, solve_zero_sum
+from jamgame.equilibria import StageGame
 
 
 def pure_type_strategies(actions, n_types):

@@ -4,14 +4,16 @@ Before ``shapley_value_iteration`` solved a sweep's stage games in one
 ``equilibria.stage_values`` pass, it walked the states one at a time:
 ``_zero_sum_strategies`` on the state's table as lists (the closed form,
 else the LP's strategies), then ``_bilinear`` for its value. The
-policies came from ``solve_zero_sum`` on each final stage game, with no
-support hint. The tests check that the batched pass reproduces it bit
-for bit.
+policies came from ``solve_zero_sum`` (now in ``single_game_reference``)
+on each final stage game, with no support hint. The tests check that
+the batched pass reproduces it bit for bit.
 """
 
 import numpy as np
 
-from jamgame.equilibria import StageGame, _bilinear, _zero_sum_strategies, solve_zero_sum
+from single_game_reference import solve_zero_sum
+
+from jamgame.equilibria import StageGame, _bilinear, _zero_sum_strategies
 from jamgame.nashq import QTables
 
 

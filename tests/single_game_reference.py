@@ -1,0 +1,96 @@
+"""The single-game solver routes, kept as the reference for the stacked kernels.
+
+Before every solver job in ``equilibria`` had one implementation written
+for a stack of games, the single-game routes had their own:
+``deviation_gap`` and ``_result`` certified one mix pair with 1-D
+products, ``support_enumeration`` solved one support pair at a time in a
+nested loop, and ``solve_zero_sum`` was a certified zero-sum entry point
+(the closed form when it certifies, else the LP) that no command reached.
+The tests check that the library reproduces them bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+
+from jamgame.equilibria import (
+    CERT_TOL,
+    EquilibriumResult,
+    MixedStrategy,
+    _closed_form,
+    _support_rows,
+    zero_sum_value,
+)
+
+
+def deviation_gap(game, s1, s2) -> float:
+    """Largest unilateral pure-deviation improvement over the given mix pair."""
+    x = s1.probs if isinstance(s1, MixedStrategy) else np.asarray(s1, dtype=float)
+    y = s2.probs if isinstance(s2, MixedStrategy) else np.asarray(s2, dtype=float)
+    m, n = game.shape
+    if x.shape != (m,) or y.shape != (n,):
+        raise ValueError("strategy dimensions do not match the game")
+    payoff1 = game.payoff_p1 @ y
+    payoff2 = x @ game.payoff_p2
+    v1 = float(x @ payoff1)
+    v2 = float(payoff2 @ y)
+    gap1 = float(payoff1.max()) - v1
+    gap2 = float(payoff2.max()) - v2
+    return max(gap1, gap2, 0.0)
+
+
+def _result(game, x, y) -> EquilibriumResult:
+    """The mix pair clipped, normalized and certified."""
+    x = np.clip(x, 0.0, None)
+    y = np.clip(y, 0.0, None)
+    x = x / x.sum()
+    y = y / y.sum()
+    s1 = MixedStrategy(x)
+    s2 = MixedStrategy(y)
+    v1 = float(x @ game.payoff_p1 @ y)
+    v2 = float(x @ game.payoff_p2 @ y)
+    return EquilibriumResult(s1, s2, v1, v2, deviation_gap(game, s1, s2))
+
+
+def _support_solve(a, b, sup_x, sup_y):
+    """``(x, y)`` of the support solve of one game, or None."""
+    ok, x, y = _support_rows(a[None], b[None], np.asarray(sup_x)[None], np.asarray(sup_y)[None])
+    return (x[0], y[0]) if ok[0] else None
+
+
+def support_enumeration(game) -> list:
+    """All equilibria of a game up to 5x5, one support pair at a time."""
+    m, n = game.shape
+    if m > 5 or n > 5:
+        raise ValueError("support enumeration is limited to 5x5 games")
+    a, b = game.payoff_p1, game.payoff_p2
+    found = []
+    seen = set()
+    for k in range(1, min(m, n) + 1):
+        for sup_x in itertools.combinations(range(m), k):
+            for sup_y in itertools.combinations(range(n), k):
+                sol = _support_solve(a, b, np.array(sup_x), np.array(sup_y))
+                if sol is None:
+                    continue
+                x, y = sol
+                res = _result(game, x, y)
+                if res.deviation_gap > CERT_TOL:
+                    continue
+                key = (tuple(np.round(res.strat_p1.probs, 9)),
+                       tuple(np.round(res.strat_p2.probs, 9)))
+                if key not in seen:
+                    seen.add(key)
+                    found.append(res)
+    return found
+
+
+def solve_zero_sum(game) -> EquilibriumResult:
+    """The closed form when its deviation gap is within ``CERT_TOL``, else the LP."""
+    if not game.zero_sum:
+        raise ValueError("solve_zero_sum requires payoff_p1 + payoff_p2 = 0")
+    sol = _closed_form(game.payoff_p1.tolist())
+    if sol is not None:
+        res = _result(game, *sol)
+        if res.deviation_gap <= CERT_TOL:
+            return res
+    return zero_sum_value(game)

@@ -43,6 +43,12 @@ class TestSteady:
         bad.write_text("{not json")
         assert main(["steady", "--config", str(bad)]) == 2
 
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"model": "\xff"}')
+        assert main(["steady", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config is not valid UTF-8")
+
     def test_stable_plant_reports_negative_threshold(self, tmp_path, capsys):
         with open(os.path.join(CONFIG_DIR, "default.json")) as fh:
             doc = json.load(fh)

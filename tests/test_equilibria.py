@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import numpy_reference
+import single_game_reference
 import two_lp_reference
+from single_game_reference import solve_zero_sum
 from solver_probes import bits, count_lp_calls
 
 from jamgame import equilibria
@@ -17,12 +19,12 @@ from jamgame.equilibria import (
     StageGame,
     _bilinear,
     _closed_form,
+    _result,
     deviation_gap,
     lemke_howson,
     _zero_sum_strategies,
     read_stage_game,
     solve_stage,
-    solve_zero_sum,
     stage_policies,
     stage_values,
     support_enumeration,
@@ -217,7 +219,7 @@ class TestFastStageSolver:
             assert ours is not None
             for got, want in zip(ours, ref):
                 assert np.array(got).tobytes() == want.tobytes()
-        assert solve_zero_sum(zero_sum(rows)).deviation_gap <= CERT_TOL
+        assert stage_policies(np.array([rows]))[0].deviation_gap <= CERT_TOL
 
     def test_agrees_with_lp_on_random_2x2(self):
         rng = np.random.default_rng(77)
@@ -242,24 +244,25 @@ class TestFastStageSolver:
 class TestSolveZeroSum:
     def test_random_games_certified_and_match_lp(self):
         rng = np.random.default_rng(41)
+        games = []
         for _ in range(400):
             m = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
             if rng.random() < 0.4:
                 m = np.round(m)  # force ties and saddle points
-            game = zero_sum(m)
-            res = solve_zero_sum(game)
-            assert res.deviation_gap <= CERT_TOL
-            assert deviation_gap(game, res.strat_p1, res.strat_p2) == res.deviation_gap
-            assert res.value_p1 == pytest.approx(zero_sum_value(game).value_p1, abs=VALUE_TOL)
-            assert res.value_p2 == -res.value_p1
-
-    def test_rejects_general_sum(self):
-        with pytest.raises(ValueError):
-            solve_zero_sum(BATTLE)
+            games.append(m)
+        for shape in sorted({m.shape for m in games}):
+            group = [m for m in games if m.shape == shape]
+            for m, res in zip(group, stage_policies(np.array(group))):
+                game = zero_sum(m)
+                assert res.deviation_gap <= CERT_TOL
+                assert deviation_gap(game, res.strat_p1, res.strat_p2) == res.deviation_gap
+                assert res.value_p1 == pytest.approx(zero_sum_value(game).value_p1, abs=VALUE_TOL)
+                assert res.value_p2 == -res.value_p1
 
     def test_dispatcher_routes_zero_sum_games_here(self):
         game = zero_sum([[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]])
         res = solve_stage(game)
+        assert_same_result(res, zero_sum_value(game))
         assert res.strat_p1.probs.tolist() == [1.0, 0.0]
         assert res.strat_p2.probs.tolist() == [0.0, 1.0, 0.0]
         assert res.value_p1 == 4.0
@@ -346,6 +349,83 @@ class TestSupportEnumeration:
         assert eqs
         for eq in eqs:
             assert eq.deviation_gap <= CERT_TOL
+
+
+def assert_same_result(got, want):
+    """Two ``EquilibriumResult``s with the same bits, signed zeros included."""
+    assert np.array_equal(bits(got.strat_p1.probs), bits(want.strat_p1.probs))
+    assert np.array_equal(bits(got.strat_p2.probs), bits(want.strat_p2.probs))
+    assert np.array_equal(bits([got.value_p1, got.value_p2, got.deviation_gap]),
+                          bits([want.value_p1, want.value_p2, want.deviation_gap]))
+
+
+def sparse_mix(rng, k):
+    """Random nonnegative weights on ``k`` actions, some zeroed, one kept."""
+    w = rng.random(k)
+    w[rng.random(k) < 0.3] = 0.0
+    w[rng.integers(k)] += 0.5
+    return w
+
+
+class TestStackedKernelsMatchSingleGameRoutes:
+    """The one-row calls of the stacked kernels against the single-game routes
+    they replaced (``single_game_reference``), bit for bit."""
+
+    def test_certificate_on_general_sum_games(self):
+        rng = np.random.default_rng(53)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                for i in range(4):
+                    a, b = rng.normal(size=(2, m, n))
+                    if i % 2:
+                        a, b = np.round(3.0 * a), np.round(3.0 * b)  # tied best responses
+                    game = StageGame(payoff_p1=a, payoff_p2=b)
+                    x, y = sparse_mix(rng, m), sparse_mix(rng, n)
+                    if i == 3:
+                        x[rng.integers(m)] -= 1e-13  # clipped by the certificate
+                    assert_same_result(_result(game, x, y),
+                                       single_game_reference._result(game, x, y))
+                    for xs, ys in ((x, y), (x / x.sum(), y / y.sum())):
+                        assert np.array_equal(
+                            bits(deviation_gap(game, xs, ys)),
+                            bits(single_game_reference.deviation_gap(game, xs, ys)))
+
+    def test_enumeration_on_small_games(self, monkeypatch):
+        singular = []
+        real = equilibria._indifference
+
+        def counted(sub):
+            try:
+                return real(sub)
+            except np.linalg.LinAlgError:
+                singular.append(sub.shape)
+                raise
+
+        monkeypatch.setattr(equilibria, "_indifference", counted)
+        rng = np.random.default_rng(59)
+        games = [
+            StageGame(payoff_p1=np.full((3, 3), 2.0), payoff_p2=np.full((3, 3), -1.0)),
+            StageGame(payoff_p1=[[1, 1, 0], [1, 1, 0]], payoff_p2=[[0, 0, 1], [0, 0, 1]]),
+        ]
+        for i in range(300):
+            m, n = rng.integers(1, 6, size=2)
+            if i % 3 == 0:
+                a, b = rng.normal(size=(2, m, n))
+            elif i % 3 == 1:
+                a, b = rng.integers(-1, 2, size=(2, m, n))  # singular support blocks
+            else:
+                a = rng.normal(size=(m, n))
+                b = -a
+            games.append(StageGame(payoff_p1=a, payoff_p2=b))
+        for game in games:
+            got = support_enumeration(game)
+            want = single_game_reference.support_enumeration(game)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_result(g, w)
+        # Stacks of several support pairs hit a singular block and were
+        # solved pair by pair.
+        assert sum(shape[0] > 1 for shape in singular) >= 50
 
 
 class TestSolversAgree:
