@@ -1,13 +1,14 @@
 """Incomplete-information variant: each player knows only its own gain.
 
 A player's type is its channel gain; beliefs about the opponent's gain
-come from the stationary distribution (default) or from the kernel row
-of one's own gain. Each player's strategy is one action distribution per
-own type (a behavioural strategy, which loses nothing under perfect
-recall). The zero-sum game over them is the one maximin LP of
-``equilibria``, fed the belief-weighted payoff block of every type pair:
-its primal gives the attacker's per-type mixes and its duals the
-sensor's. The pair is certified by the conditional deviation gap.
+come from the kernel row of one's own gain, where the stationary belief
+(default) takes the kernel whose every row is the stationary law. Each
+player's strategy is one action distribution per own type (a
+behavioural strategy, which loses nothing under perfect recall). The
+zero-sum game over them is the one maximin LP of ``equilibria``, fed the
+belief-weighted payoff block of every type pair: its primal gives the
+attacker's per-type mixes and its duals the sensor's. The pair is
+certified by the conditional deviation gap.
 
 ``bayesian_from_game`` reads the per-type-pair payoffs off
 ``spec.compiled`` into one array: the rewards at the holding time and, for
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CERT_TOL, NORM_TOL, _maximin_lp
+from .equilibria import CERT_TOL, NORM_TOL, _maximin_lp, _normalized
 from .game import _REPR, _STR, GameSpec, _label, _write_csv
 
 __all__ = [
@@ -130,13 +131,11 @@ def bayesian_from_game(
     if not 0 <= holding_time <= spec.tau_max:
         raise ValueError(f"holding_time outside [0, {spec.tau_max}]")
     mu = spec.mu
-    if belief_mode == "stationary":
-        belief = np.outer(mu, mu)
-    else:
-        # Common prior anchored on the attacker's stationary gain; the
-        # sensor's gain is one kernel step from it. Identical kernel rows
-        # collapse this to the stationary product.
-        belief = mu[:, None] * spec.channel.kernel
+    # Common prior anchored on the attacker's stationary gain; the sensor's
+    # gain is one kernel step from it. The stationary belief's kernel has
+    # every row mu, so the two gains are independent.
+    kernel = np.tile(mu, (len(mu), 1)) if belief_mode == "stationary" else spec.channel.kernel
+    belief = mu[:, None] * kernel
 
     model = spec.compiled
     k = len(mu)
@@ -169,7 +168,8 @@ def solve_bayesian(spec: BayesianSpec) -> BayesResult:
     """Per-type equilibrium mixes from one maximin LP, certified."""
     blocks = spec.belief[:, :, None, None] * spec.payoff
     x, y = _maximin_lp(blocks)
-    attacker, sensor = _type_strategy(x), _type_strategy(y)
+    # Guard against drift from the LP mix before normalizing rows.
+    attacker, sensor = TypeStrategy(_normalized(x)), TypeStrategy(_normalized(y))
     gap = bayes_deviation_gap(spec, attacker, sensor)
     if gap > CERT_TOL:
         raise RuntimeError(f"Bayesian equilibrium failed certification (gap {gap})")
@@ -178,12 +178,6 @@ def solve_bayesian(spec: BayesianSpec) -> BayesResult:
     # Type pairs in order, attacker's type outermost.
     value = sum(float(x[i] @ blocks[i, j] @ y[j]) for i in range(k) for j in range(k))
     return BayesResult(attacker=attacker, sensor=sensor, value_attacker=value, deviation_gap=gap)
-
-
-def _type_strategy(mix: np.ndarray) -> TypeStrategy:
-    # Guard against drift from the LP mix before normalizing rows.
-    mix = np.clip(mix, 0.0, None)
-    return TypeStrategy(probs=mix / mix.sum(axis=1, keepdims=True))
 
 
 def _conditional(belief: np.ndarray, axis: int) -> np.ndarray:

@@ -69,9 +69,8 @@ ZERO_SUM_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 
 # 1e-10 is the tightest feasibility tolerance HiGHS accepts; the support
-# solve in zero_sum_value takes the certificate the rest of the way.
+# solve in _lp_results takes the certificate the rest of the way.
 _LP_OPTIONS = {
-    "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -163,13 +162,16 @@ def _certificates(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     return (xr @ a @ yc)[:, 0, 0], v2, gap
 
 
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """Each row of ``p`` clipped at zero and scaled to sum 1."""
+    p = np.maximum(p, 0.0)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def _results(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     """Each mix pair clipped at zero, normalized and certified in its game
     ``(a[g], b[g])``: ``(x, y, value_p1, value_p2, deviation_gap)``."""
-    x = np.maximum(x, 0.0)
-    y = np.maximum(y, 0.0)
-    x = x / x.sum(axis=1, keepdims=True)
-    y = y / y.sum(axis=1, keepdims=True)
+    x, y = _normalized(x), _normalized(y)
     return (x, y) + _certificates(a, b, x, y)
 
 
@@ -258,6 +260,8 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
     positive internally; the certificate is computed on the originals.
     Raises ``PivotLimitError`` past ``10 (m+n)^2`` pivots; callers fall
     back to ``support_enumeration`` or ``zero_sum_value``.
+    Tableaux, bases and identity columns are pairs indexed by side (0: X,
+    1: Y); a pivot step works on one side and hands its leaving label on.
     """
     m, n = game.shape
     if not 0 <= initial_label < m + n:
@@ -268,43 +272,37 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
 
     # Tableau X: n rows for B' x + s = 1; columns [x_0..x_{m-1}, s_0..s_{n-1}, 1].
     # Tableau Y: m rows for r + A y = 1; columns [r_0..r_{m-1}, y_0..y_{n-1}, 1].
-    # In both, the variable carrying label L sits in column L.
-    tab_x = np.hstack([b.T, np.eye(n), np.ones((n, 1))])
-    tab_y = np.hstack([np.eye(m), a, np.ones((m, 1))])
-    basis_x = [m + j for j in range(n)]
-    basis_y = list(range(m))
-    id_x = list(range(m, m + n))
-    id_y = list(range(m))
+    # In both, the variable carrying label L sits in column L; a side's
+    # identity columns are the labels of its starting basis.
+    tabs = (np.hstack([b.T, np.eye(n), np.ones((n, 1))]),
+            np.hstack([np.eye(m), a, np.ones((m, 1))]))
+    ids = (range(m, m + n), range(m))
+    bases = [list(cols) for cols in ids]
 
     budget = 10 * (m + n) ** 2
     label = initial_label
-    in_x = initial_label < m  # x_k enters tableau X, y_k enters tableau Y
+    side = int(initial_label >= m)  # x_k enters tableau X, y_k enters tableau Y
     for _ in range(budget):
-        if in_x:
-            row = _lex_min_ratio(tab_x, label, id_x)
-            leaving = basis_x[row]
-            _pivot(tab_x, row, label)
-            basis_x[row] = label
-        else:
-            row = _lex_min_ratio(tab_y, label, id_y)
-            leaving = basis_y[row]
-            _pivot(tab_y, row, label)
-            basis_y[row] = label
+        tab, basis = tabs[side], bases[side]
+        row = _lex_min_ratio(tab, label, ids[side])
+        leaving = basis[row]
+        _pivot(tab, row, label)
+        basis[row] = label
         if leaving == initial_label:
             break
         label = leaving
-        in_x = not in_x
+        side = 1 - side
     else:
         raise PivotLimitError(f"no equilibrium within {budget} pivots")
 
-    x = np.zeros(m)
-    for row, lab in enumerate(basis_x):
-        if lab < m:
-            x[lab] = tab_x[row, -1]
-    y = np.zeros(n)
-    for row, lab in enumerate(basis_y):
-        if lab >= m:
-            y[lab - m] = tab_y[row, -1]
+    # z[L] is the value of the variable carrying label L: the x (labels
+    # below m) are read off tableau X, the y off tableau Y.
+    z = np.zeros(m + n)
+    for side, (tab, basis) in enumerate(zip(tabs, bases)):
+        for row, lab in enumerate(basis):
+            if (lab >= m) == side:
+                z[lab] = tab[row, -1]
+    x, y = z[:m], z[m:]
     if x.sum() <= 0 or y.sum() <= 0:
         raise PivotLimitError("pivoting terminated at the artificial equilibrium")
     return _result(game, x, y)
@@ -475,15 +473,16 @@ def _closed_form(a):
 def _zero_sum_strategies(a) -> tuple:
     """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``.
 
-    The closed form when it applies, uncertified, else the strategies of
-    ``zero_sum_value``. The learner solves one state per step with it;
-    ``stage_values`` is its form for a table.
+    The closed form when it applies, uncertified, else the certified LP
+    strategies (``_lp_results`` on one row). The learner solves one state
+    per step with it; ``stage_values`` is its form for a table.
     """
     sol = _closed_form(a)
     if sol is not None:
         return sol
-    res = zero_sum_value(StageGame(payoff_p1=a, payoff_p2=-np.array(a)))
-    return res.strat_p1.probs.tolist(), res.strat_p2.probs.tolist()
+    a = np.array(a, dtype=float)[None]
+    x, y, *_ = _lp_results(a, -a)
+    return x[0].tolist(), y[0].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ reward is ``Tr[h^tau(P_bar)] + alpha_s * b - alpha_a * a`` and the game
 is zero-sum. Holding time is truncated at ``tau_max`` (failures saturate
 there), which keeps the state space finite.
 
-``GameSpec.compiled`` holds the rewards and the factored transition law
-as arrays, which value iteration, the learner, ``play`` (the one
-stepping engine), the Bayesian game and the structure checks read;
-``reward_attacker`` is the scalar reference reward.
+``GameSpec.compiled`` holds the rewards and the factored transition law,
+which value iteration, the learner, ``play`` (the one stepping engine),
+the Bayesian game and the structure checks read; ``reward_attacker`` is
+the scalar reference reward. Stationary fading is the Markov chain whose
+every row is the stationary law.
 """
 
 from __future__ import annotations
@@ -69,17 +70,16 @@ class CompiledGame:
     State index ``s = tau * n_pairs + p`` with ``p`` the gain pair
     ``(g_s, g_a)`` in state order. ``reward[s, a, b]`` is the attacker's
     stage reward, ``arrival[p, a, b]`` the packet's success probability,
-    ``gain_step[p, p']`` the weight of next gain pair ``p'``, and
-    ``cdf[p, a, b]`` the cumulative next-state law over ``2 * n_pairs``
-    entries: delivered (``tau' = 0``) pairs, then lost
-    (``tau' = min(tau + 1, tau_max)``) pairs; ``cdf_rows`` is the same
-    law as nested lists of floats, which the stepping engine reads.
+    ``gain_step[p, p']`` the weight of next gain pair ``p'`` (the
+    Kronecker square of the gain kernel), and ``cdf_rows[p][a][b]``, the
+    list of floats the stepping engine reads, the cumulative next-state
+    law over ``2 * n_pairs`` entries: delivered (``tau' = 0``) pairs, then
+    lost (``tau' = min(tau + 1, tau_max)``) pairs.
     """
 
     reward: np.ndarray
     arrival: np.ndarray
     gain_step: np.ndarray
-    cdf: np.ndarray
     cdf_rows: list
     tau_max: int
     n_pairs: int
@@ -115,27 +115,26 @@ def _compile(spec, desc: tuple) -> CompiledGame:
         for gs in desc
         for ga in desc
     ])
-    if spec.gain_mode == "stationary":
-        w = spec.mu[::-1]  # gains ascend in the channel, descend in the states
-        gain_step = np.tile(np.outer(w, w).ravel(), (n, 1))
-    else:
-        k = spec.channel.kernel[::-1, ::-1]
-        gain_step = np.kron(k, k)
+    # Stationary fading is the Markov chain whose every row is mu; gains
+    # ascend in the channel and descend in the states.
+    k = np.tile(spec.mu, (len(desc), 1)) if spec.gain_mode == "stationary" else spec.channel.kernel
+    gain_step = np.kron(k[::-1, ::-1], k[::-1, ::-1])
     q = arrival[..., None]
     g = gain_step[:, None, None, :]
-    cdf = np.cumsum(np.concatenate((q * g, (1.0 - q) * g), axis=-1), axis=-1)
-    for arr in (reward, arrival, gain_step, cdf):
+    cdf_rows = np.cumsum(np.concatenate((q * g, (1.0 - q) * g), axis=-1), axis=-1).tolist()
+    for arr in (reward, arrival, gain_step):
         arr.flags.writeable = False
-    return CompiledGame(reward, arrival, gain_step, cdf, cdf.tolist(), spec.tau_max, n)
+    return CompiledGame(reward, arrival, gain_step, cdf_rows, spec.tau_max, n)
 
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """Full description of the power-control game; derived tables cached.
 
-    ``gain_mode`` selects how next-block gains enter the transition law:
-    ``stationary`` draws them from the stationary distribution, ``markov``
-    from the kernel rows of the current gains.
+    ``gain_mode`` selects the kernel that moves the gains from block to
+    block: ``markov`` uses the channel's kernel, ``stationary`` the
+    rank-one kernel whose every row is the stationary law ``mu``, so the
+    next gains do not depend on the current ones.
     """
 
     actions_attacker: tuple

@@ -14,9 +14,9 @@ facts behind "larger state implies larger equilibrium power":
 The checks read the game off ``spec.compiled``: the ratio bound and the
 continuation difference share one table of weighted arrival-probability
 increments, and the reward cancellation's float residue comes from the
-compiled rewards. Its exact check evaluates the alternating sum in
-rational arithmetic over the stored float parameters, so "equals zero"
-is meaningful rather than a round-off accident. The order checks scan
+compiled rewards. Its exact check evaluates the alternating sum of the
+reward formula in rational arithmetic over the stored float parameters,
+so "equals zero" is not a round-off accident. The order checks scan
 one point at a time against the points it strictly dominates, so memory
 stays linear in the number of states.
 """
@@ -364,15 +364,18 @@ def _alternating_sum(r: np.ndarray) -> np.ndarray:
 def reward_cancellation_residual(spec: GameSpec):
     """Alternating reward sum over (m, m+1) x (low, high) action pairs.
 
-    Returns ``(exact_zero, float_max_abs)``. The first flag evaluates the
-    sum in exact rational arithmetic over the stored float parameters --
-    the cancellation is algebraic for the separable reward, so a nonzero
-    there means the reward form itself is broken. The second is the worst
-    residue of the same sum over the float rewards of ``spec.compiled``.
+    Returns ``(exact_zero, float_max_abs)``. The flag evaluates the sum in
+    rational arithmetic over the stored float parameters, on the reward
+    formula ``Tr[h^m] + alpha_s b - alpha_a a`` retyped here. The trace
+    terms cancel within each ``(m, m+1)`` pair, so every holding time
+    gives the same rational and holding times 0 and 1 stand for all; the
+    formula is separable, so the flag is true on every input. It cannot
+    see a wrong ``spec.compiled.reward``: only the float residue, the
+    worst residue of the same sum over the compiled rewards, reads them.
     """
     tt, acts_a, acts_b = (
         np.array([Fraction(v) for v in values], dtype=object)
-        for values in (spec.steady.trace_table, spec.actions_attacker, spec.actions_sensor)
+        for values in (spec.steady.trace_table[:2], spec.actions_attacker, spec.actions_sensor)
     )
     r_exact = (tt[:, None, None] + Fraction(spec.alpha_s) * acts_b[None, None, :]
                - Fraction(spec.alpha_a) * acts_a[None, :, None])

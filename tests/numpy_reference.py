@@ -40,7 +40,7 @@ def closed_form(a: np.ndarray):
 def next_state(model, si, ai, bi, u):
     n = model.n_pairs
     tau, p = divmod(si, n)
-    k = draw_index(model.cdf[p, ai, bi], u)
+    k = draw_index(model.cdf_rows[p][ai][bi], u)
     if k < n:
         return k
     return min(tau + 1, model.tau_max) * n + k - n

@@ -22,6 +22,7 @@ from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import gain_averaged_values
 from normal_form_reference import expand_matrix
+from solver_probes import bits
 from spec_strategies import game_specs
 
 
@@ -77,6 +78,13 @@ class TestSpecConstruction:
         a = bayesian_from_game(game, 0, belief_mode="stationary")
         b = bayesian_from_game(game, 0, belief_mode="kernel")
         assert np.allclose(a.belief, b.belief, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(game=game_specs())
+    def test_stationary_belief_is_the_product_law(self, game):
+        """The kernel belief of the chain whose every row is mu is mu x mu, bit for bit."""
+        belief = bayesian_from_game(game, 0, belief_mode="stationary").belief
+        assert np.array_equal(bits(belief), bits(np.outer(game.mu, game.mu)))
 
     def test_kernel_belief_differs_otherwise(self):
         game = paper_game(channel=ChannelSpec(gains=(0.6, 0.8),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import lemke_howson_reference
 import numpy_reference
 import single_game_reference
 import two_lp_reference
@@ -426,6 +427,70 @@ class TestStackedKernelsMatchSingleGameRoutes:
         # Stacks of several support pairs hit a singular block and were
         # solved pair by pair.
         assert sum(shape[0] > 1 for shape in singular) >= 50
+
+
+
+class TestLemkeHowsonMatchesTwoBranchReference:
+    """The one pivot step against the mirrored-branch loop (``lemke_howson_reference``)."""
+
+    @staticmethod
+    def games():
+        """Random-normal, small-integer (degenerate) and zero-sum games, 1x1 to 6x6."""
+        rng = np.random.default_rng(61)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                for kind in ("normal", "integer", "zero-sum") * 2:
+                    if kind == "normal":
+                        a, b = rng.normal(size=(2, m, n))
+                    elif kind == "integer":
+                        a, b = rng.integers(-1, 2, size=(2, m, n))
+                    else:
+                        a = rng.normal(size=(m, n))
+                        b = -a
+                    yield StageGame(payoff_p1=a, payoff_p2=b)
+
+    @staticmethod
+    def outcomes(game, before_each=lambda: None) -> list:
+        """Both loops from every initial label: the failure message each raised, else None."""
+        messages = []
+        for label in range(sum(game.shape)):
+            before_each()
+            try:
+                want = lemke_howson_reference.lemke_howson(game, label)
+            except PivotLimitError as exc:
+                before_each()
+                with pytest.raises(PivotLimitError) as got:
+                    lemke_howson(game, label)
+                assert str(got.value) == str(exc)
+                messages.append(str(exc))
+                continue
+            before_each()
+            assert_same_result(lemke_howson(game, label), want)
+            messages.append(None)
+        return messages
+
+    def test_every_label_bit_for_bit(self):
+        for game in self.games():
+            assert self.outcomes(game) == [None] * sum(game.shape)
+
+    def test_pivot_failures_raise_the_same_messages(self, monkeypatch):
+        # A ratio rule without the lexicographic tie-break, installed in both
+        # loops, reaches the artificial equilibrium and the pivot budget.
+        calls = []
+
+        def scrambled(tableau, col, id_cols):
+            rows = np.nonzero(tableau[:, col] > 1e-12)[0]
+            if rows.size == 0:
+                raise PivotLimitError("entering column has no positive entry (unbounded ray)")
+            calls.append(col)
+            return int(rows[len(calls) * 7919 % rows.size])
+
+        for module in (equilibria, lemke_howson_reference):
+            monkeypatch.setattr(module, "_lex_min_ratio", scrambled)
+        messages = [msg for game in self.games() for msg in self.outcomes(game, calls.clear)
+                    if msg is not None]
+        assert "pivoting terminated at the artificial equilibrium" in messages
+        assert any(msg.startswith("no equilibrium within") for msg in messages)
 
 
 class TestSolversAgree:

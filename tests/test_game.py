@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import numpy_reference
 from scalar_law_reference import state_index, transition_distribution
+from solver_probes import bits
 from spec_strategies import game_specs
 
 from jamgame import game
@@ -310,7 +311,7 @@ class TestCompiledModel:
         # the last state (tau = tau_max); the draw must stay on the support.
         spec = default_config.game
         model = spec.compiled
-        short = np.argwhere(model.cdf[..., -1] < 1.0)
+        short = np.argwhere(np.array(model.cdf_rows)[..., -1] < 1.0)
         assert len(short) > 0
         u = np.nextafter(1.0, 0.0)
         for p, ai, bi in short:
@@ -321,13 +322,29 @@ class TestCompiledModel:
             assert nxt.tau in (0, 1)
             assert law.get(nxt, 0.0) > 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=game_specs())
+    def test_stationary_fading_is_the_rank_one_chain(self, spec):
+        """Stationary fading compiles, through the kernel whose every row is mu,
+        to the bits of the product law it used to have a formula for."""
+        assume(spec.gain_mode == "stationary")
+        model = spec.compiled
+        w = spec.mu[::-1]
+        gain_step = np.tile(np.outer(w, w).ravel(), (model.n_pairs, 1))
+        q = model.arrival[..., None]
+        g = gain_step[:, None, None, :]
+        cdf = np.cumsum(np.concatenate((q * g, (1.0 - q) * g), axis=-1), axis=-1)
+        assert np.array_equal(bits(model.gain_step), bits(gain_step))
+        assert np.array_equal(bits(model.cdf_rows), bits(cdf))
+
     @settings(max_examples=20, deadline=None)
     @given(spec=game_specs())
     def test_compiled_law_matches_reference(self, spec):
         model = spec.compiled
         n = model.n_pairs
-        assert np.abs(model.cdf[..., -1] - 1.0).max() <= 1e-12
-        mass = np.diff(model.cdf, axis=-1, prepend=0.0)
+        cdf = np.array(model.cdf_rows)
+        assert np.abs(cdf[..., -1] - 1.0).max() <= 1e-12
+        mass = np.diff(cdf, axis=-1, prepend=0.0)
         v = np.random.default_rng(0).normal(size=spec.n_states)
         expected = model.expected(v)
         for si, s in enumerate(spec.states):
