@@ -126,7 +126,7 @@ def cmd_equilibrium(args, cfg) -> dict:
     except equilibria.PivotLimitError as exc:
         print(f"lemke-howson failed: {exc}")
     if stage.zero_sum:
-        _print_result("linear program", equilibria.zero_sum_value(stage))
+        _print_result("zero-sum value", equilibria.zero_sum_value(stage))
     if max(stage.shape) <= 5:
         for i, res in enumerate(equilibria.support_enumeration(stage)):
             _print_result(f"support enumeration #{i}", res)

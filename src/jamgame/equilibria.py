@@ -4,8 +4,10 @@ Three routes are provided and cross-checked in the test suite:
 
 * ``lemke_howson`` -- complementary pivoting on the two best-response
   polytopes, with lexicographic tie-breaking and a pivot budget;
-* ``zero_sum_value`` -- one maximin linear program (HiGHS) whose duals
-  are the column strategy, polished by the support solve;
+* ``zero_sum_value`` -- the square-support search, which proves a unique
+  equilibrium on a square support, else one maximin linear program
+  (HiGHS) whose duals are the column strategy; either way polished by
+  the support solve;
 * ``support_enumeration`` -- exhaustive support pairs for desk-scale
   games, used as the independent oracle.
 
@@ -18,13 +20,15 @@ Bayesian variant (``bayesian.solve_bayesian``) is solved by it too.
 stage games ``q[s]`` in one pass: the saddle scan and the 2x2 formula
 run as array operations, and each remaining state first tries the
 support it had in the previous pass (a support hint), kept only when its
-deviation gap is within ``CERT_TOL``, before the LP.
+deviation gap is within ``CERT_TOL``, before the search and the LP.
 
 Each solver job has one implementation, written for a stack of games,
 and a single game is a one-row call of it: the certificate
 (``_certificates``: values and deviation gaps of mix pairs), the support
-solve (``_support_rows``) and the LP polish (``_lp_results``: one maximin
-LP per game, then one batched support solve per support size).
+solve (``_support_rows``) and the cold route (``_cold_results``: one
+batched support solve per support size searches for a unique
+equilibrium, one maximin LP per game it leaves, then one batched
+support-solve polish per support size).
 
 Every result is certified against the *original* payoff matrices;
 tolerances are centralized below.
@@ -67,9 +71,12 @@ ZERO_SUM_TOL = 1e-9
 # weight may dip this far below zero, and an outside action may beat the
 # support payoff by this much.
 SUPPORT_TOL = 1e-9
+# Support enumeration and the square-support search take games up to this
+# many actions a side.
+SUPPORT_MAX = 5
 
 # 1e-10 is the tightest feasibility tolerance HiGHS accepts; the support
-# solve in _lp_results takes the certificate the rest of the way.
+# solve in _cold_results takes the certificate the rest of the way.
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -342,21 +349,28 @@ def _maximin_lp(blocks: np.ndarray) -> tuple:
     return res.x[:nx].reshape(ki, m), -res.ineqlin.marginals.reshape(kj, n)
 
 
-def _indifference(sub: np.ndarray) -> np.ndarray:
-    """``(z, u)`` with ``sub @ z = u`` in every row and ``sum(z) = 1``.
-
-    The bordered ``(k+1) x (k+1)`` system of a square support block, or
-    of each block in a stack ``(..., k, k)``; raises ``LinAlgError`` when
-    one is singular.
-    """
+def _bordered(sub: np.ndarray) -> np.ndarray:
+    """The bordered ``(k+1) x (k+1)`` matrix of each square support block in
+    a stack ``(..., k, k)``: ``[[sub, -1], [1', 0]]``."""
     k = sub.shape[-1]
     lhs = np.zeros(sub.shape[:-2] + (k + 1, k + 1))
     lhs[..., :k, :k] = sub
     lhs[..., :k, k] = -1.0
     lhs[..., k, :k] = 1.0
+    return lhs
+
+
+def _indifference(sub: np.ndarray) -> np.ndarray:
+    """``(z, u)`` with ``sub @ z = u`` in every row and ``sum(z) = 1``.
+
+    The bordered system (``_bordered``) of a square support block, or of
+    each block in a stack ``(..., k, k)``; raises ``LinAlgError`` when one
+    is singular.
+    """
+    k = sub.shape[-1]
     rhs = np.zeros(sub.shape[:-2] + (k + 1, 1))
     rhs[..., k, 0] = 1.0
-    return np.linalg.solve(lhs, rhs)[..., 0]
+    return np.linalg.solve(_bordered(sub), rhs)[..., 0]
 
 
 def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) -> tuple:
@@ -364,9 +378,9 @@ def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) 
     and columns ``cy[g]``, all of one size ``k``: ``(ok, x, y)``.
 
     ``y`` on the columns equalizes the row payoffs over the rows, and
-    vice versa. A game is ``ok`` unless a solved weight dips below
-    ``-SUPPORT_TOL`` or an action outside the support beats the support
-    payoff by more than ``SUPPORT_TOL``.
+    vice versa. A game is ``ok`` unless a system is singular, a solved
+    weight dips below ``-SUPPORT_TOL`` or an action outside the support
+    beats the support payoff by more than ``SUPPORT_TOL``.
     """
     g, k = rx.shape
     at = np.arange(g)[:, None]
@@ -375,12 +389,18 @@ def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) 
         sol_y = _indifference(a[block])
         sol_x = _indifference(b[block].transpose(0, 2, 1))
     except np.linalg.LinAlgError:
-        if g == 1:
-            return np.zeros(1, dtype=bool), np.zeros(a.shape[:2]), np.zeros((1, a.shape[2]))
-        # One singular system fails the whole stack: solve the games one by one.
-        parts = [_support_rows(a[i:i + 1], b[i:i + 1], rx[i:i + 1], cy[i:i + 1])
-                 for i in range(g)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        # A singular system fails the whole stack. The solve meets a zero
+        # pivot exactly where the same LU factorization gives a zero
+        # determinant sign: those games are not ok, the rest are solved
+        # as one stack.
+        live = ((np.linalg.slogdet(_bordered(a[block]))[0] != 0.0)
+                & (np.linalg.slogdet(_bordered(b[block].transpose(0, 2, 1)))[0] != 0.0))
+        if live.all():
+            raise
+        ok, x, y = np.zeros(g, dtype=bool), np.zeros(a.shape[:2]), np.zeros((g, a.shape[2]))
+        if live.any():
+            ok[live], x[live], y[live] = _support_rows(a[live], b[live], rx[live], cy[live])
+        return ok, x, y
     y_s, u = sol_y[:, :k], sol_y[:, k]
     x_s, v = sol_x[:, :k], sol_x[:, k]
     ok = ~((y_s.min(axis=1) < -SUPPORT_TOL) | (x_s.min(axis=1) < -SUPPORT_TOL))
@@ -409,38 +429,95 @@ def _square_supports(a: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray):
         yield pick[ok], x[ok], y[ok]
 
 
-def _lp_results(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Certified ``_results`` of each zero-sum game ``(a[g], b[g])`` by linear programming.
+def _support_pairs(m: int, n: int, k: int) -> tuple:
+    """Every pair of a size-``k`` row support and a size-``k`` column support
+    of an ``m x n`` game, as index arrays ``(rx, cy)`` of shape ``(pairs, k)``:
+    row supports in order, each with every column support in order."""
+    rx = np.array(list(itertools.combinations(range(m), k)))
+    cy = np.array(list(itertools.combinations(range(n), k)))
+    return np.repeat(rx, len(cy), axis=0), np.tile(cy, (len(rx), 1))
 
-    One maximin LP per game gives both strategies: the row mix from its
-    primal, the column mix from its duals. Where the two supports have
-    the same size, the support solve polishes them to machine precision
-    so the certificate holds at ``CERT_TOL``; elsewhere the LP point
-    stands. Raises ``RuntimeError`` when a gap exceeds ``CERT_TOL``.
+
+def _unique_supports(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The square-support search: ``(found, x, y)``, where ``found`` masks the
+    zero-sum games ``(a[g], b[g])`` whose equilibrium it proves unique and
+    ``x``, ``y`` hold that equilibrium (zero elsewhere).
+
+    Every matrix game has an optimal pair on a square kernel (Shapley and
+    Snow), and a pair with every support weight above ``VALUE_TOL`` whose
+    outside rows and columns each fall more than ``VALUE_TOL`` short of
+    the value is the only one (Bohnenblust, Karlin and Shapley). For k =
+    1, 2, ... the k x k support pairs of the games still open are solved
+    in one ``_support_rows`` call. Games above ``SUPPORT_MAX`` on a side
+    are not searched.
     """
-    x = np.empty(a.shape[:2])
-    y = np.empty((a.shape[0], a.shape[2]))
-    for g, game in enumerate(a):
-        xg, yg = _maximin_lp(game[None, None])
+    g, m, n = a.shape
+    found = np.zeros(g, dtype=bool)
+    x, y = np.zeros((g, m)), np.zeros((g, n))
+    if max(m, n) > SUPPORT_MAX:
+        return found, x, y
+    todo = np.arange(g)
+    for k in range(1, min(m, n) + 1):
+        if not todo.size:
+            break
+        rx, cy = _support_pairs(m, n, k)
+        at = np.repeat(todo, len(rx))
+        rx, cy = np.tile(rx, (todo.size, 1)), np.tile(cy, (todo.size, 1))
+        ga, gb = a[at], b[at]
+        ok, xs, ys = _support_rows(ga, gb, rx, cy)
+        pay1 = (ga @ ys[:, :, None])[:, :, 0]
+        pay2 = (xs[:, None, :] @ gb)[:, 0, :]
+        pair = np.arange(at.size)[:, None]
+        u, v = pay1[pair, rx].min(axis=1), pay2[pair, cy].min(axis=1)
+        # Support actions at -inf, so each max runs over the outside actions.
+        pay1[pair, rx] = -np.inf
+        pay2[pair, cy] = -np.inf
+        strict = (ok & (xs[pair, rx].min(axis=1) > VALUE_TOL)
+                  & (ys[pair, cy].min(axis=1) > VALUE_TOL)
+                  & (pay1.max(axis=1) < u - VALUE_TOL) & (pay2.max(axis=1) < v - VALUE_TOL))
+        games = at[strict]
+        found[games] = True
+        x[games], y[games] = xs[strict], ys[strict]
+        todo = todo[~found[todo]]
+    return found, x, y
+
+
+def _cold_results(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Certified ``_results`` of each zero-sum game ``(a[g], b[g])`` without a hint.
+
+    The square-support search (``_unique_supports``) first; each game
+    whose equilibrium it does not prove unique (degenerate, tied or above
+    ``SUPPORT_MAX``) takes one maximin LP, whose primal is the row mix
+    and whose duals are the column mix. Where the two supports have the
+    same size, the support solve polishes them to machine precision so
+    the certificate holds at ``CERT_TOL``; elsewhere the LP point stands.
+    A unique equilibrium is the LP's point too, with the same supports,
+    so the search changes no bit of the result. Raises ``RuntimeError``
+    when a gap exceeds ``CERT_TOL``.
+    """
+    found, x, y = _unique_supports(a, b)
+    for g in np.flatnonzero(~found):
+        xg, yg = _maximin_lp(a[g][None, None])
         x[g], y[g] = xg[0], yg[0]
     for rows, xs, ys in _square_supports(a, x > SUPPORT_TOL, y > SUPPORT_TOL):
         x[rows], y[rows] = xs, ys
     res = _results(a, b, x, y)
     over = res[4][res[4] > CERT_TOL]
     if over.size:
-        raise RuntimeError(f"LP equilibrium failed certification (gap {over[0]})")
+        raise RuntimeError(f"zero-sum equilibrium failed certification (gap {over[0]})")
     return res
 
 
 def zero_sum_value(game: StageGame) -> EquilibriumResult:
-    """Solve a zero-sum game by linear programming, certified.
+    """Solve a zero-sum game, certified: ``_cold_results`` on one row.
 
-    The maximin LP, polished by the support solve (``_lp_results`` on one
-    row); the certificate is taken on the game's own payoff matrices.
+    The square-support search when it proves the equilibrium unique, else
+    the maximin LP; either point is polished by the support solve, and the
+    certificate is taken on the game's own payoff matrices.
     """
     if not game.zero_sum:
         raise ValueError("zero_sum_value requires payoff_p1 + payoff_p2 = 0")
-    return _equilibria(_lp_results(game.payoff_p1[None], game.payoff_p2[None]))[0]
+    return _equilibria(_cold_results(game.payoff_p1[None], game.payoff_p2[None]))[0]
 
 
 def _closed_form(a):
@@ -473,15 +550,16 @@ def _closed_form(a):
 def _zero_sum_strategies(a) -> tuple:
     """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``.
 
-    The closed form when it applies, uncertified, else the certified LP
-    strategies (``_lp_results`` on one row). The learner solves one state
-    per step with it; ``stage_values`` is its form for a table.
+    The closed form when it applies, uncertified, else the certified
+    strategies of the cold route (``_cold_results`` on one row). The
+    learner solves one state per step with it; ``stage_values`` is its
+    form for a table.
     """
     sol = _closed_form(a)
     if sol is not None:
         return sol
     a = np.array(a, dtype=float)[None]
-    x, y, *_ = _lp_results(a, -a)
+    x, y, *_ = _cold_results(a, -a)
     return x[0].tolist(), y[0].tolist()
 
 
@@ -555,15 +633,15 @@ def _closed_forms(q: np.ndarray) -> tuple:
     return x, y, closed
 
 
-def _warm_or_lp(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
+def _warm_or_cold(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
     """Certified ``_results`` of the states ``rows``, which the closed form left:
-    the warm support solve, else the LP.
+    the warm support solve, else the cold route.
 
     Each state first tries the support solve on its ``hint`` supports
     (boolean masks, one row per state of ``q``), kept when the deviation
     gap is within ``CERT_TOL``; the rest, or all without a hint, take
-    ``_lp_results``. When the LP would polish on the same supports, the
-    two routes give the same bits.
+    ``_cold_results``. When the cold route would polish on the same
+    supports, the two routes give the same bits.
     """
     a = q[rows]
     g, m, n = a.shape
@@ -576,9 +654,9 @@ def _warm_or_lp(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
             for o, r in zip(out, res):
                 o[pick[good]] = r[good]
             todo[pick[good]] = False
-    lp = np.flatnonzero(todo)
-    for o, r in zip(out, _lp_results(a[lp], 0.0 - a[lp])):
-        o[lp] = r
+    cold = np.flatnonzero(todo)
+    for o, r in zip(out, _cold_results(a[cold], 0.0 - a[cold])):
+        o[cold] = r
     return out
 
 
@@ -588,13 +666,14 @@ def stage_values(q: np.ndarray, hint=None) -> tuple:
     ``values[s]`` is ``x' q[s] y`` summed in ``_bilinear``'s order, for
     the strategies ``_zero_sum_strategies(q[s])`` takes: the closed form,
     else the certified support solve on the ``hint`` supports, else the
-    LP. Returns ``(values, supports)``; ``supports`` (boolean masks of
-    each state's row and column support) is the ``hint`` for the next
-    pass on a nearby table, such as the next value-iteration sweep.
+    cold route (the square-support search, else the LP). Returns
+    ``(values, supports)``; ``supports`` (boolean masks of each state's
+    row and column support) is the ``hint`` for the next pass on a
+    nearby table, such as the next value-iteration sweep.
     """
     x, y, closed = _closed_forms(q)
     rest = np.flatnonzero(~closed)
-    x[rest], y[rest], *_ = _warm_or_lp(q, rest, hint)
+    x[rest], y[rest], *_ = _warm_or_cold(q, rest, hint)
     return _bilinear_rows(x, q, y), (x > SUPPORT_TOL, y > SUPPORT_TOL)
 
 
@@ -604,7 +683,7 @@ def stage_policies(q: np.ndarray, hint=None) -> list:
     The closed form where it certifies, in one pass: the closed-form
     states are normalized, valued and certified as arrays. A closed form
     that fails certification, and every state the closed form leaves,
-    goes through the ``hint`` support solve, else the LP.
+    goes through the ``hint`` support solve, else the cold route.
     """
     x, y, closed = _closed_forms(q)
     cf = np.flatnonzero(closed)
@@ -612,7 +691,7 @@ def stage_policies(q: np.ndarray, hint=None) -> list:
     kept = res[4] <= CERT_TOL
     rest = np.union1d(np.flatnonzero(~closed), cf[~kept])
     out = [np.empty((q.shape[0],) + r.shape[1:]) for r in res]
-    for o, r, r_rest in zip(out, res, _warm_or_lp(q, rest, hint)):
+    for o, r, r_rest in zip(out, res, _warm_or_cold(q, rest, hint)):
         o[cf[kept]] = r[kept]
         o[rest] = r_rest
     return _equilibria(out)
@@ -627,19 +706,18 @@ def support_enumeration(game: StageGame) -> list:
 
     Enumerates equal-size support pairs, solves each indifference system,
     keeps solutions that stay in the simplex and admit no profitable
-    outside action. Exponential; restricted to matrices up to 5x5. The
+    outside action. Exponential; restricted to matrices up to
+    ``SUPPORT_MAX`` a side. The
     pairs of one size are solved and certified as one stack; results
     come in order of size, then row support, then column support.
     """
     m, n = game.shape
-    if m > 5 or n > 5:
-        raise ValueError("support enumeration is limited to 5x5 games")
+    if max(m, n) > SUPPORT_MAX:
+        raise ValueError(f"support enumeration is limited to {SUPPORT_MAX}x{SUPPORT_MAX} games")
     found = []
     seen = set()
     for k in range(1, min(m, n) + 1):
-        rx = np.array(list(itertools.combinations(range(m), k)))
-        cy = np.array(list(itertools.combinations(range(n), k)))
-        rx, cy = np.repeat(rx, len(cy), axis=0), np.tile(cy, (len(rx), 1))
+        rx, cy = _support_pairs(m, n, k)
         a = np.broadcast_to(game.payoff_p1, (len(rx), m, n))
         b = np.broadcast_to(game.payoff_p2, (len(rx), m, n))
         ok, x, y = _support_rows(a, b, rx, cy)

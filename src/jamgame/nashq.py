@@ -17,11 +17,12 @@ giving the reference table the learner is checked against.
 
 Stage games are solved by ``equilibria``. The learner solves one state
 per step with the scalar closed form (pure saddle scan, 2x2 mixing
-formula) or the LP's strategies. A value-iteration sweep solves every
-state in one ``stage_values`` pass: the closed form as array
-operations, then for each other state the support it had one sweep
+formula) or the cold route's strategies: the square-support search when
+it proves the equilibrium unique, else the LP. A value-iteration sweep
+solves every state in one ``stage_values`` pass: the closed form as
+array operations, then for each other state the support it had one sweep
 earlier, kept only if its deviation gap is within ``CERT_TOL``, else
-the LP. ``extract_policy`` certifies every state in one
+the cold route. ``extract_policy`` certifies every state in one
 ``stage_policies`` pass, which the oracle hints with its final sweep's
 supports.
 """
@@ -225,8 +226,8 @@ def shapley_value_iteration(
     A sweep solves all stage games in one ``equilibria.stage_values``
     pass: saddle and 2x2 states as arrays, every other state by the
     support it had one sweep earlier, kept only if its deviation gap is
-    within ``CERT_TOL``, else by the LP. The policies are extracted with
-    the final sweep's supports as the hint.
+    within ``CERT_TOL``, else by the cold route. The policies are
+    extracted with the final sweep's supports as the hint.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -261,7 +262,8 @@ def extract_policy(tables: QTables, hint=None) -> list:
     """Per-state certified equilibrium of the stage game (Q1[s], Q2[s]).
 
     ``hint`` is the supports ``equilibria.stage_values`` returned for a
-    nearby table; states off the closed form try them before the LP.
+    nearby table; states off the closed form try them before the cold
+    route.
     """
     return stage_policies(tables.q1, hint)
 

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from solver_probes import count_lp_calls
+
 from jamgame.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -181,6 +183,14 @@ class TestEquilibriumCommand:
         assert "zero-sum: True" in text
         assert "lemke-howson" in text
         assert "support enumeration" in text
+
+    def test_degenerate_matrix_takes_the_lp(self, capsys, monkeypatch):
+        # A repeated row: no square support proves the equilibrium unique.
+        path = os.path.join(CONFIG_DIR, "stage_game_degenerate.txt")
+        lps = count_lp_calls(monkeypatch)
+        assert main(["equilibrium", path]) == 0
+        assert len(lps) == 1
+        assert "zero-sum value: p1 [0.333333, 0.333333, 0.333333, 0.0]" in capsys.readouterr().out
 
     def test_matching_pennies_file(self, tmp_path, capsys):
         path = tmp_path / "mp.txt"

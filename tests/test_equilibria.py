@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import lemke_howson_reference
+import lp_route_reference
 import numpy_reference
 import single_game_reference
 import two_lp_reference
@@ -154,6 +155,8 @@ class TestZeroSumValue:
                 assert lp.value_p1 == pytest.approx(eq.value_p1, abs=VALUE_TOL)
 
     def test_one_linprog_call_per_game(self, monkeypatch):
+        # At most one: none where the square-support search proves the
+        # equilibrium unique, exactly one where it cannot.
         calls = []
 
         def counting_linprog(*args, **kwargs):
@@ -162,7 +165,11 @@ class TestZeroSumValue:
 
         monkeypatch.setattr(equilibria, "linprog", counting_linprog)
         zero_sum_value(zero_sum([[3.0, -1.0, 0.5], [-2.0, 4.0, 1.0]]))
+        assert len(calls) == 0
+        zero_sum_value(zero_sum([[1.0, 1.0], [1.0, 1.0]]))  # every pair is optimal
         assert len(calls) == 1
+        zero_sum_value(zero_sum(np.random.default_rng(3).normal(size=(6, 6))))  # above the cap
+        assert len(calls) == 2
 
     def test_matches_two_lp_reference(self):
         # A strategy may differ from the reference only where the game has
@@ -311,12 +318,65 @@ class TestStagePass:
                 solve(q)
 
     def test_wrong_hint_falls_back_to_the_lp(self, monkeypatch):
+        # Rock-paper-scissors has a unique equilibrium, which the search
+        # proves without the LP and with the LP route's bits.
         rps = np.array([[[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]])
         pure = (np.array([[True, False, False]]), np.array([[True, False, False]]))
+        want = lp_route_reference.zero_sum_value(zero_sum(rps[0]))
         lps = count_lp_calls(monkeypatch)
         (res,) = stage_policies(rps, pure)
-        assert len(lps) == 1
+        assert lps == []
+        assert_same_result(res, want)
         assert np.allclose(res.strat_p1.probs, 1 / 3) and res.deviation_gap <= CERT_TOL
+        # A repeated row leaves the row player several optimal mixes, so
+        # no support pair proves uniqueness and the LP runs.
+        tied = np.concatenate([rps, rps[:, :1]], axis=1)
+        pure = (np.array([[True, False, False, False]]), pure[1])
+        (res,) = stage_policies(tied, pure)
+        assert len(lps) == 1
+        assert_same_result(res, lp_route_reference.zero_sum_value(zero_sum(tied[0])))
+        assert res.deviation_gap <= CERT_TOL
+
+
+class TestSquareSupportSearch:
+    """The cold route (search, else LP) against the LP route (``lp_route_reference``)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 5), n=st.integers(1, 5), rounded=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_lp_route_bit_for_bit(self, m, n, rounded, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(6, m, n))
+        if rounded:
+            q = np.round(q)  # ties and several optimal strategies
+        for a in q:
+            game = zero_sum(a)
+            with pytest.MonkeyPatch.context() as mp:
+                lps = count_lp_calls(mp)
+                got = zero_sum_value(game)
+            assert_same_result(got, lp_route_reference.zero_sum_value(game))
+            assert (lps == []) == lp_route_reference.proves_unique(a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibria, "_cold_results", lp_route_reference.lp_results)
+            want = stage_policies(q)
+        for got, w in zip(stage_policies(q), want):
+            assert_same_result(got, w)
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, -1.0], [0.0, 1e-8]],  # a row weight of 5e-9
+        [[-1.0, 0.0], [1.0, -1e-8]],  # a column weight of 5e-9
+        [[1.0, -1.0], [-1.0, 1.0], [-1e-8, -1e-8]],  # an outside row 1e-8 short
+        [[1.0, -1.0, 1e-8], [-1.0, 1.0, 1e-8]],  # an outside column 1e-8 short
+    ], ids=["row weight", "column weight", "row", "column"])
+    def test_unique_within_the_margin_takes_the_lp(self, a, monkeypatch):
+        # Each equilibrium is unique, but by less than VALUE_TOL: the
+        # search does not count that as proof.
+        game = zero_sum(a)
+        assert not lp_route_reference.proves_unique(game.payoff_p1)
+        lps = count_lp_calls(monkeypatch)
+        res = zero_sum_value(game)
+        assert len(lps) == 1
+        assert_same_result(res, lp_route_reference.zero_sum_value(game))
 
 
 class TestSupportEnumeration:

@@ -200,7 +200,7 @@ class TestScalePoints:
 
     @pytest.mark.parametrize("model, game, n_states, max_lps", [
         ({"A": [[0.95]]}, {"tau_max": 1000}, 16016, 0),  # every stage game has a saddle
-        ({}, {"beta": 0.9}, 976, 30),  # 228 sweeps, about 20 mixed 4x4 states each
+        ({}, {"beta": 0.9}, 976, 0),  # 228 sweeps; mixed 4x4 states have unique equilibria
     ], ids=["stable plant", "beta 0.9"])
     def test_oracle(self, model, game, n_states, max_lps, scaled_profile, monkeypatch):
         doc = json.loads(json.dumps(scaled_profile))
@@ -221,7 +221,7 @@ class TestScalePoints:
     def test_lp_budget_on_the_scaled_profile(self, scaled_config, monkeypatch):
         lps = count_lp_calls(monkeypatch)
         shapley_value_iteration(scaled_config.game)
-        assert 0 < len(lps) <= 20
+        assert lps == []
 
     @pytest.mark.parametrize("profile", ["default", "monotone"])
     def test_shipped_2x2_profiles_never_reach_the_lp(self, profile, request, monkeypatch):
