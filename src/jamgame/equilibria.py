@@ -392,9 +392,11 @@ def _support_rows(a: np.ndarray, b: np.ndarray, rx: np.ndarray, cy: np.ndarray) 
         # A singular system fails the whole stack. The solve meets a zero
         # pivot exactly where the same LU factorization gives a zero
         # determinant sign: those games are not ok, the rest are solved
-        # as one stack.
-        live = ((np.linalg.slogdet(_bordered(a[block]))[0] != 0.0)
-                & (np.linalg.slogdet(_bordered(b[block].transpose(0, 2, 1)))[0] != 0.0))
+        # as one stack. slogdet warns on the log of a zero determinant,
+        # whose sign 0 is the answer wanted here.
+        with np.errstate(divide="ignore"):
+            live = ((np.linalg.slogdet(_bordered(a[block]))[0] != 0.0)
+                    & (np.linalg.slogdet(_bordered(b[block].transpose(0, 2, 1)))[0] != 0.0))
         if live.all():
             raise
         ok, x, y = np.zeros(g, dtype=bool), np.zeros(a.shape[:2]), np.zeros((g, a.shape[2]))
@@ -520,23 +522,35 @@ def zero_sum_value(game: StageGame) -> EquilibriumResult:
     return _equilibria(_cold_results(game.payoff_p1[None], game.payoff_p2[None]))[0]
 
 
-def _closed_form(a):
-    """Equilibrium (x, y) of the zero-sum game with row payoffs ``a``, or None.
+def _saddle(a):
+    """Indices ``(i, j)`` of a pure saddle point of the zero-sum game with row
+    payoffs ``a`` (rows of floats), or None.
 
-    Works in scalars on ``a`` given as rows of floats. Pure saddle points
-    are found by scanning (ties break to the lowest index); 2x2 games
-    without one use the closed-form mixing weights, else None.
+    Row ``i`` maximizes the row minima and column ``j`` minimizes the column
+    maxima; a tie breaks to the lowest index.
     """
     row_min = list(map(min, a))
     col_max = list(map(max, zip(*a)))
     lower, upper = max(row_min), min(col_max)
     if lower == upper:
-        x = [0.0] * len(row_min)
-        y = [0.0] * len(col_max)
-        x[row_min.index(lower)] = 1.0
-        y[col_max.index(upper)] = 1.0
+        return row_min.index(lower), col_max.index(upper)
+    return None
+
+
+def _closed_form(a, ij):
+    """Equilibrium (x, y) of the zero-sum game with row payoffs ``a``, or None.
+
+    Works in scalars on ``a`` given as rows of floats; ``ij`` is
+    ``_saddle(a)``. A pure saddle point gives the one-hot pair; 2x2 games
+    without one use the closed-form mixing weights, else None.
+    """
+    if ij is not None:
+        x = [0.0] * len(a)
+        y = [0.0] * len(a[0])
+        x[ij[0]] = 1.0
+        y[ij[1]] = 1.0
         return x, y
-    if len(row_min) == len(col_max) == 2:
+    if len(a) == len(a[0]) == 2:
         (p11, p12), (p21, p22) = a
         den = (p11 - p12) + (p22 - p21)
         if den != 0.0:
@@ -547,15 +561,17 @@ def _closed_form(a):
     return None
 
 
-def _zero_sum_strategies(a) -> tuple:
-    """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``.
+def _zero_sum_strategies(a, ij) -> tuple:
+    """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``
+    whose saddle scan ``_saddle(a)`` gave ``ij``.
 
     The closed form when it applies, uncertified, else the certified
     strategies of the cold route (``_cold_results`` on one row). The
-    learner solves one state per step with it; ``stage_values`` is its
-    form for a table.
+    learner scans each stage once and takes a pure saddle's exploring
+    CDFs from a table, so it calls this only on the stages without one;
+    ``stage_values`` is its form for a table.
     """
-    sol = _closed_form(a)
+    sol = _closed_form(a, ij)
     if sol is not None:
         return sol
     a = np.array(a, dtype=float)[None]
@@ -655,8 +671,9 @@ def _warm_or_cold(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
                 o[pick[good]] = r[good]
             todo[pick[good]] = False
     cold = np.flatnonzero(todo)
-    for o, r in zip(out, _cold_results(a[cold], 0.0 - a[cold])):
-        o[cold] = r
+    if cold.size:
+        for o, r in zip(out, _cold_results(a[cold], 0.0 - a[cold])):
+            o[cold] = r
     return out
 
 
@@ -664,7 +681,7 @@ def stage_values(q: np.ndarray, hint=None) -> tuple:
     """Value of every zero-sum stage game with row payoffs ``q[s]``, in one pass.
 
     ``values[s]`` is ``x' q[s] y`` summed in ``_bilinear``'s order, for
-    the strategies ``_zero_sum_strategies(q[s])`` takes: the closed form,
+    the strategies ``_zero_sum_strategies`` takes: the closed form,
     else the certified support solve on the ``hint`` supports, else the
     cold route (the square-support search, else the LP). Returns
     ``(values, supports)``; ``supports`` (boolean masks of each state's
@@ -673,7 +690,8 @@ def stage_values(q: np.ndarray, hint=None) -> tuple:
     """
     x, y, closed = _closed_forms(q)
     rest = np.flatnonzero(~closed)
-    x[rest], y[rest], *_ = _warm_or_cold(q, rest, hint)
+    if rest.size:
+        x[rest], y[rest], *_ = _warm_or_cold(q, rest, hint)
     return _bilinear_rows(x, q, y), (x > SUPPORT_TOL, y > SUPPORT_TOL)
 
 
@@ -691,9 +709,11 @@ def stage_policies(q: np.ndarray, hint=None) -> list:
     kept = res[4] <= CERT_TOL
     rest = np.union1d(np.flatnonzero(~closed), cf[~kept])
     out = [np.empty((q.shape[0],) + r.shape[1:]) for r in res]
-    for o, r, r_rest in zip(out, res, _warm_or_cold(q, rest, hint)):
+    for o, r in zip(out, res):
         o[cf[kept]] = r[kept]
-        o[rest] = r_rest
+    if rest.size:
+        for o, r_rest in zip(out, _warm_or_cold(q, rest, hint)):
+            o[rest] = r_rest
     return _equilibria(out)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -72,9 +73,9 @@ class CompiledGame:
     stage reward, ``arrival[p, a, b]`` the packet's success probability,
     ``gain_step[p, p']`` the weight of next gain pair ``p'`` (the
     Kronecker square of the gain kernel), and ``cdf_rows[p][a][b]``, the
-    list of floats the stepping engine reads, the cumulative next-state
-    law over ``2 * n_pairs`` entries: delivered (``tau' = 0``) pairs, then
-    lost (``tau' = min(tau + 1, tau_max)``) pairs.
+    list of floats ``play`` reads, the cumulative next-state law over
+    ``2 * n_pairs`` entries: delivered (``tau' = 0``) pairs, then lost
+    (``tau' = min(tau + 1, tau_max)``) pairs.
     """
 
     reward: np.ndarray
@@ -92,15 +93,6 @@ class CompiledGame:
         q = self.arrival
         out = q * w[0][:, None, None] + (1.0 - q) * lost[:, :, None, None]
         return out.reshape(self.reward.shape)
-
-    def next_state(self, si: int, ai: int, bi: int, u: float) -> int:
-        """Next state index from ``si`` under actions ``(ai, bi)`` for uniform ``u``."""
-        n = self.n_pairs
-        tau, p = divmod(si, n)
-        k = draw_index(self.cdf_rows[p][ai][bi], u)
-        if k < n:
-            return k
-        return min(tau + 1, self.tau_max) * n + k - n
 
 
 def _compile(spec, desc: tuple) -> CompiledGame:
@@ -234,7 +226,12 @@ def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generato
 
     ``policy(si)`` gives both players' action CDFs at ``si``, asked afresh
     each step. A step draws the attacker action, the sensor action, then
-    the next state, one uniform each, and yields ``(si, ai, bi, next_si)``.
+    the next state from the compiled ``cdf_rows``, one uniform each, and
+    yields ``(si, ai, bi, next_si)``.
+
+    Each draw is ``bisect_right`` on its CDF; only a uniform at or above
+    the CDF's last entry, which rounding can leave below 1, goes to
+    ``channel.draw_index`` for its last positive-mass entry.
 
     Uniforms come ``_BLOCK_STEPS`` steps' worth at a time from
     ``rng.random(n)``, the stream of ``n`` scalar draws; a consumer that
@@ -243,15 +240,25 @@ def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generato
     """
     if not 0 <= start < spec.n_states:
         raise ValueError(f"start state {start} is outside [0, {spec.n_states})")
-    next_state = spec.compiled.next_state
+    model = spec.compiled
+    cdf_rows, n, tau_max = model.cdf_rows, model.n_pairs, model.tau_max
     si = start
     for done in range(0, steps, _BLOCK_STEPS):
         u = iter(rng.random(3 * min(steps - done, _BLOCK_STEPS)).tolist())
         for ua, ub, un in zip(u, u, u):
             cdf_a, cdf_b = policy(si)
-            ai = draw_index(cdf_a, ua)
-            bi = draw_index(cdf_b, ub)
-            nxt = next_state(si, ai, bi, un)
+            ai = bisect_right(cdf_a, ua)
+            if ai == len(cdf_a):
+                ai = draw_index(cdf_a, ua)
+            bi = bisect_right(cdf_b, ub)
+            if bi == len(cdf_b):
+                bi = draw_index(cdf_b, ub)
+            tau, p = divmod(si, n)
+            row = cdf_rows[p][ai][bi]
+            k = bisect_right(row, un)
+            if k == len(row):
+                k = draw_index(row, un)
+            nxt = k if k < n else min(tau + 1, tau_max) * n + k - n
             yield si, ai, bi, nxt
             si = nxt
 

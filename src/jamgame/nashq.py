@@ -16,15 +16,19 @@ compiled, factored transition law (a beta-contraction in the sup norm),
 giving the reference table the learner is checked against.
 
 Stage games are solved by ``equilibria``. The learner solves one state
-per step with the scalar closed form (pure saddle scan, 2x2 mixing
-formula) or the cold route's strategies: the square-support search when
-it proves the equilibrium unique, else the LP. A value-iteration sweep
-solves every state in one ``stage_values`` pass: the closed form as
-array operations, then for each other state the support it had one sweep
-earlier, kept only if its deviation gap is within ``CERT_TOL``, else
-the cold route. ``extract_policy`` certifies every state in one
-``stage_policies`` pass, which the oracle hints with its final sweep's
-supports.
+per step and caches its exploring action CDFs with its stage value until
+the state's table changes. The saddle scan (``_saddle``) comes first: a
+pure saddle's CDFs come from a table built once per run, and its value
+is the table entry itself. Any other stage takes the 2x2 mixing formula
+or the cold route's strategies (the square-support search when it proves
+the equilibrium unique, else the LP), and ``_bilinear``.
+
+A value-iteration sweep solves every state in one ``stage_values`` pass:
+the closed form as array operations, then for each other state the
+support it had one sweep earlier, kept only if its deviation gap is
+within ``CERT_TOL``, else the cold route. ``extract_policy`` certifies
+every state in one ``stage_policies`` pass, which the oracle hints with
+its final sweep's supports.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from .equilibria import (
     ZERO_SUM_TOL,
     _bilinear,
+    _saddle,
     _zero_sum_strategies,
     stage_policies,
     stage_values,
@@ -149,6 +154,12 @@ def nash_q_learn(
     blended with a uniform exploration mix, the transition is sampled
     from the analytic model, and only the visited cell is updated.
 
+    Each state's cache entry is ``(exploring CDFs, stage value)``, filled
+    on first use and cleared by every update of the state's table, so the
+    target reads the next state's value from it. A pure saddle ``(i, j)``
+    takes its CDFs from a precomputed ``na x nb`` table and its value as
+    ``0.0 + Q1[s][i][j]``, the bits ``_bilinear`` gives on the one-hot pair.
+
     ``snapshot_episodes`` requests copies of Q1 after the given episode
     counts (used to measure convergence against the oracle).
     """
@@ -164,17 +175,30 @@ def nash_q_learn(
     eps = cfg.exploration
     keep, mix_a, mix_b = 1.0 - eps, eps * (1.0 / na), eps * (1.0 / nb)
 
-    # Per-state exploring players' action CDFs and stage equilibrium,
-    # invalidated when the state's cell changes.
+    def explore_cdf(pi, mix):
+        return list(accumulate([keep * p + mix for p in pi]))
+
+    # A pure saddle's exploring CDFs depend only on its indices (i, j).
+    cdfs_a = [explore_cdf([float(k == i) for k in range(na)], mix_a) for i in range(na)]
+    cdfs_b = [explore_cdf([float(k == j) for k in range(nb)], mix_b) for j in range(nb)]
+    saddle_cdfs = [[(ca, cb) for cb in cdfs_b] for ca in cdfs_a]
+
+    # Per-state (exploring players' action CDFs, stage value), invalidated
+    # when the state's cell changes.
     cache = [None] * ns
 
     def stage(si):
-        if cache[si] is None:
-            pi1, pi2 = _zero_sum_strategies(q1[si])
-            pa = [keep * p + mix_a for p in pi1]
-            pb = [keep * p + mix_b for p in pi2]
-            cache[si] = ((list(accumulate(pa)), list(accumulate(pb))), pi1, pi2)
-        return cache[si]
+        a = q1[si]
+        ij = _saddle(a)
+        if ij is not None:
+            # 0.0 + a[i][j] is _bilinear on the one-hot pair, bit for bit.
+            i, j = ij
+            cache[si] = entry = (saddle_cdfs[i][j], 0.0 + a[i][j])
+        else:
+            pi1, pi2 = _zero_sum_strategies(a, ij)
+            cache[si] = entry = ((explore_cdf(pi1, mix_a), explore_cdf(pi2, mix_b)),
+                                 _bilinear(pi1, a, pi2))
+        return entry
 
     def explore(si):
         return (cache[si] or stage(si))[0]
@@ -187,8 +211,7 @@ def nash_q_learn(
     for ep in range(cfg.episodes):
         start = int(rng.integers(ns))
         for si, ai, bi, nxt in play(spec, explore, start, cfg.steps_per_episode, rng):
-            _, npi1, npi2 = stage(nxt)
-            target = r1[si][ai][bi] + beta * _bilinear(npi1, q1[nxt], npi2)
+            target = r1[si][ai][bi] + beta * (cache[nxt] or stage(nxt))[1]
             count = visits[si][ai][bi] + 1
             visits[si][ai][bi] = count
             lr = lr_num / (lr_off + count)  # cfg.learning_rate(count)

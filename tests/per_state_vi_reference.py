@@ -13,7 +13,7 @@ import numpy as np
 
 from single_game_reference import solve_zero_sum
 
-from jamgame.equilibria import StageGame, _bilinear, _zero_sum_strategies
+from jamgame.equilibria import StageGame, _bilinear, _saddle, _zero_sum_strategies
 from jamgame.nashq import QTables
 
 
@@ -33,7 +33,7 @@ def shapley_value_iteration(spec, tol=1e-10, max_sweeps=100000):
     for sweep in range(1, max_sweeps + 1):
         v = np.empty(ns)
         for si, a in enumerate(q1.tolist()):
-            x, y = _zero_sum_strategies(a)
+            x, y = _zero_sum_strategies(a, _saddle(a))
             v[si] = _bilinear(x, a, y)
         new = r1 + spec.beta * model.expected(v)
         delta = float(np.abs(new - q1).max())

@@ -18,6 +18,7 @@ from jamgame.equilibria import (
     EquilibriumResult,
     MixedStrategy,
     _closed_form,
+    _saddle,
     _support_rows,
     zero_sum_value,
 )
@@ -88,7 +89,8 @@ def solve_zero_sum(game) -> EquilibriumResult:
     """The closed form when its deviation gap is within ``CERT_TOL``, else the LP."""
     if not game.zero_sum:
         raise ValueError("solve_zero_sum requires payoff_p1 + payoff_p2 = 0")
-    sol = _closed_form(game.payoff_p1.tolist())
+    a = game.payoff_p1.tolist()
+    sol = _closed_form(a, _saddle(a))
     if sol is not None:
         res = _result(game, *sol)
         if res.deviation_gap <= CERT_TOL:

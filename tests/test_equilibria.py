@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -21,7 +21,9 @@ from jamgame.equilibria import (
     StageGame,
     _bilinear,
     _closed_form,
+    _closed_forms,
     _result,
+    _saddle,
     deviation_gap,
     lemke_howson,
     _zero_sum_strategies,
@@ -219,7 +221,7 @@ class TestFastStageSolver:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(payoff_rows())
     def test_scalar_closed_form_matches_numpy_formula(self, rows):
-        ours = _closed_form(rows)
+        ours = _closed_form(rows, _saddle(rows))
         ref = numpy_reference.closed_form(np.array(rows))
         if ref is None:
             assert ours is None
@@ -229,13 +231,36 @@ class TestFastStageSolver:
                 assert np.array(got).tobytes() == want.tobytes()
         assert stage_policies(np.array([rows]))[0].deviation_gap <= CERT_TOL
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_saddle_scan_matches_closed_forms_and_value(self, m, n, data):
+        # Entries from a few tied values, signed zeros among them, or any float.
+        entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                          st.floats(-10, 10, allow_subnormal=False))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+        ij = _saddle(rows)
+        sol = _closed_form(rows, ij)
+        x, y, closed = _closed_forms(np.array([rows]))
+        assert closed[0] == (sol is not None)
+        if sol is not None:
+            assert np.array_equal(bits(x[0]), bits(sol[0]))
+            assert np.array_equal(bits(y[0]), bits(sol[1]))
+        if ij is None:
+            return
+        i, j = ij
+        assert sol[0].index(1.0) == i and sol[1].index(1.0) == j
+        want = numpy_reference.closed_form(np.array(rows))
+        assert (int(np.argmax(want[0])), int(np.argmax(want[1]))) == ij
+        assert np.array_equal(bits([0.0 + rows[i][j]]), bits([_bilinear(sol[0], rows, sol[1])]))
+
     def test_agrees_with_lp_on_random_2x2(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
             m = rng.normal(size=(2, 2))
             if rng.random() < 0.3:
                 m = np.round(m)  # force ties / saddle points
-            x, y = _zero_sum_strategies(m.tolist())
+            rows = m.tolist()
+            x, y = _zero_sum_strategies(rows, _saddle(rows))
             game = zero_sum(m)
             lp = zero_sum_value(game)
             assert deviation_gap(game, x, y) <= 1e-9
@@ -244,7 +269,7 @@ class TestFastStageSolver:
     def test_pure_saddle_scan_on_larger_matrices(self):
         m = [[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]]
         # row 0 / column 1 is a saddle: min of row 0, max of column 1
-        x, y = _zero_sum_strategies(m)
+        x, y = _zero_sum_strategies(m, _saddle(m))
         assert x == [1.0, 0.0]
         assert y == [0.0, 1.0, 0.0]
 
@@ -288,7 +313,7 @@ class TestStagePass:
         q[:6] = np.round(q[:6])  # saddles with tied rows and columns
         want_values = []
         for a in q.tolist():
-            x, y = _zero_sum_strategies(a)
+            x, y = _zero_sum_strategies(a, _saddle(a))
             want_values.append(_bilinear(x, a, y))
         want_policies = [solve_zero_sum(zero_sum(a)) for a in q]
         with pytest.MonkeyPatch.context() as mp:
@@ -403,6 +428,7 @@ class TestSupportEnumeration:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=8, max_size=8))
+    @example(vals=[0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # a singular support system
     def test_every_2x2_game_has_an_equilibrium(self, vals):
         a = np.array(vals[:4]).reshape(2, 2)
         b = np.array(vals[4:]).reshape(2, 2)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from solver_probes import bits
 from spec_strategies import game_specs
 
 from jamgame import game
-from jamgame.channel import ChannelSpec, packet_arrival_prob
+from jamgame.channel import ChannelSpec, draw_index, packet_arrival_prob
 from jamgame.estimation import SystemModel
 from jamgame.game import (
     GameSpec,
@@ -282,6 +284,33 @@ class TestSimulation:
             assert walked == list(numpy_reference.play(spec, policy, start, steps, ref))
         assert ours.bit_generator.state == ref.bit_generator.state
 
+    def test_draws_past_a_short_cdf_take_the_last_positive_mass_entry(self, spec,
+                                                                       monkeypatch):
+        # CDFs that end below 1, for the actions and for the next state, send
+        # a uniform at or above their last entry to ``draw_index``'s fallback:
+        # the last entry with positive mass, as in the reference stepper.
+        model = spec.compiled
+        short = SimpleNamespace(
+            n_states=spec.n_states,
+            compiled=dataclasses.replace(
+                model, cdf_rows=(0.7 * np.array(model.cdf_rows)).tolist()))
+        cdfs = ([0.4, 0.4], [0.1, 0.6])
+        policy = lambda si: cdfs  # noqa: E731
+        fallbacks = []
+
+        def counted(cdf, u):
+            fallbacks.append(tuple(cdf))
+            return draw_index(cdf, u)
+
+        monkeypatch.setattr(game, "draw_index", counted)
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        walked = list(play(short, policy, 3, 500, ours))
+        assert walked == list(numpy_reference.play(short, policy, 3, 500, ref))
+        assert {ai for _, ai, _, _ in walked} == {0} and {bi for _, _, bi, _ in walked} == {0, 1}
+        # Both action draws and the next-state draw reached the fallback.
+        assert {tuple(cdf) for cdf in cdfs} <= set(fallbacks)
+        assert any(len(cdf) == 2 * model.n_pairs for cdf in fallbacks)
+
     def test_markov_mode_gain_transition_frequencies(self):
         kernel = [[0.9, 0.1], [0.3, 0.7]]
         ch = ChannelSpec(gains=(0.6, 0.8), kernel=kernel, sigma2=0.5)
@@ -316,7 +345,7 @@ class TestCompiledModel:
         u = np.nextafter(1.0, 0.0)
         for p, ai, bi in short:
             si = int(p)  # the tau = 0 state with gain pair p
-            nxt = spec.states[model.next_state(si, int(ai), int(bi), u)]
+            nxt = spec.states[numpy_reference.next_state(model, si, int(ai), int(bi), u)]
             law = transition_distribution(spec, spec.states[si],
                                           spec.actions_attacker[ai], spec.actions_sensor[bi])
             assert nxt.tau in (0, 1)
