@@ -46,16 +46,14 @@ def _write(path: str, text: str) -> None:
 
 
 def _policies_json(spec, policies) -> str:
-    return nashq._game_json(spec, policies=[
-        {
-            "attacker": p.strat_p1.probs.tolist(),
-            "sensor": p.strat_p2.probs.tolist(),
-            "value_attacker": p.value_p1,
-            "value_sensor": p.value_p2,
-            "deviation_gap": p.deviation_gap,
-        }
-        for p in policies
-    ])
+    attacker, sensor = nashq.policy_arrays(policies)
+    return nashq._game_json(spec, policies={
+        "attacker": attacker,
+        "sensor": sensor,
+        "value_attacker": np.array([p.value_p1 for p in policies]),
+        "value_sensor": np.array([p.value_p2 for p in policies]),
+        "deviation_gap": np.array([p.deviation_gap for p in policies]),
+    })
 
 
 def _table_outputs(prefix, spec, res) -> dict:

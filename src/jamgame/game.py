@@ -357,10 +357,10 @@ def _label(v: float) -> str:
 def _write_csv(path, header, columns) -> None:
     """Write the ``header`` labels, then one row per entry of ``columns``: ``(values, cells)``
     pairs of array-like ``values`` and a formatter (``_REPR``, ``_STR``, ``_integral_cells``).
-    A block of ``_BLOCK_STEPS`` rows is formatted column by column and written at once."""
+    A block of ``_BLOCK_STEPS`` rows is formatted column by column and written as one string."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0][0]), _BLOCK_STEPS):
             texts = [cells(np.asarray(values[lo:lo + _BLOCK_STEPS]).tolist())
                      for values, cells in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")

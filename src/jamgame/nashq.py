@@ -337,14 +337,65 @@ def _game_header(spec: GameSpec) -> dict:
     }
 
 
+# A template leaf; ``json.dumps`` writes it as ``"@"``, which no key or number contains.
+_LEAF = "@"
+
+
+def _template(node, columns: list):
+    """One record of ``node`` with a ``_LEAF`` per value, appending the record's
+    value columns to ``columns`` in the order ``json.dumps(..., sort_keys=True)``
+    writes them. ``node`` is an array with one row per record, or a dict or list
+    of such nodes."""
+    if isinstance(node, dict):
+        return {key: _template(node[key], columns) for key in sorted(node)}
+    if isinstance(node, list):
+        return [_template(v, columns) for v in node]
+    rows = np.asarray(node)
+    columns.extend(rows.reshape(len(rows), -1).T)
+    return np.full(rows.shape[1:], _LEAF, dtype=object).tolist()
+
+
 def _game_json(spec: GameSpec, **fields) -> str:
-    """JSON document of ``fields`` beside the states and actions that index them."""
-    return json.dumps({**_game_header(spec), **fields}, indent=2, sort_keys=True)
+    """JSON document of ``fields`` beside the states and actions that index them.
+
+    Each field holds one record per state (see ``_template``). The text is
+    ``json.dumps(doc, indent=2, sort_keys=True)`` of the nested-list document,
+    byte for byte: ``json.dumps`` writes the actions and a skeleton with two
+    template records per table, the literal pieces between its leaves become
+    the separators, and every value is written as its ``repr``. A non-finite
+    value raises ``ValueError``, since ``repr`` and ``json`` spell it apart.
+    """
+    tau, g_s, g_a = (np.array(col) for col in zip(*((s.tau, s.g_s, s.g_a)
+                                                     for s in spec.states)))
+    tables = {"states": [tau, g_s, g_a], **fields}
+    skeleton = {"actions_attacker": list(spec.actions_attacker),
+                "actions_sensor": list(spec.actions_sensor)}
+    columns = {}
+    for name, node in tables.items():
+        columns[name] = []
+        record = _template(node, columns[name])
+        skeleton[name] = [record, record]
+    pieces = iter(json.dumps(skeleton, indent=2, sort_keys=True).split(f'"{_LEAF}"'))
+    out = [next(pieces)]
+    for name in sorted(tables):
+        cols = columns[name]
+        k, n = len(cols), len(cols[0])
+        # The pieces after each leaf of the two records: the first record's last
+        # one leads into the next record, the second record's last closes the table.
+        seps = [next(pieces) for _ in range(2 * k)]
+        body = [None] * (2 * k * n)
+        body[1::2] = seps[:k] * n
+        body[-1] = seps[-1]
+        for c, col in enumerate(cols):
+            if not np.isfinite(col).all():
+                raise ValueError(f"{name} holds a non-finite value")
+            body[2 * c::2 * k] = map(repr, col.tolist())
+        out += body
+    return "".join(out)
 
 
 def qtables_to_json(spec: GameSpec, tables: QTables) -> str:
-    return _game_json(spec, q1=tables.q1.tolist(), q2=tables.q2.tolist(),
-                      visits=tables.visits.tolist())
+    return _game_json(spec, q1=tables.q1, q2=tables.q2, visits=tables.visits)
 
 
 def qtables_from_json(text: str) -> QTables:

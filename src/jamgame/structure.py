@@ -16,9 +16,11 @@ continuation difference share one table of weighted arrival-probability
 increments, and the reward cancellation's float residue comes from the
 compiled rewards. Its exact check evaluates the alternating sum of the
 reward formula in rational arithmetic over the stored float parameters,
-so "equals zero" is not a round-off accident. The order checks scan
+so "equals zero" is not a round-off accident. Supermodularity scans
 one point at a time against the points it strictly dominates, so memory
-stays linear in the number of states.
+stays linear in the number of states; policy monotonicity compares the
+holding times pairwise, one pair of gain pairs at a time, in
+``(tau_max + 1)^2`` booleans.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .game import GameSpec
+from .nashq import policy_arrays
 
 __all__ = [
     "EpsilonReport",
@@ -113,32 +116,44 @@ def _action_pairs(n: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
 
 
-def _increments(spec: GameSpec) -> tuple:
-    """Weighted arrival-probability increments and the tuples that pair them.
+def _increments(spec: GameSpec) -> np.ndarray:
+    """Weighted arrival-probability increments.
 
     ``inc[i, j, s, t] = (mu_s mu_t) (q_hi - q_lo)`` for the ``i``-th
     attacker and ``j``-th sensor action pair, raised from low to high
     together, at the ``s``-th sensor and ``t``-th attacker gain
-    (ascending); ``q`` comes from ``spec.compiled.arrival``. ``keys`` names
-    ``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` for every entry of
-    ``inc[i, j, s, t]`` against ``inc[i, j, s', t']``, in row-major order.
+    (ascending); ``q`` comes from ``spec.compiled.arrival``.
     """
-    gains = spec.channel.gains
-    l = len(gains)
+    l = spec.channel.n_gains
     na, nb = len(spec.actions_attacker), len(spec.actions_sensor)
     # State pairs run (g_s, g_a) with gains descending.
     q = spec.compiled.arrival.reshape(l, l, na, nb)[::-1, ::-1]
     pa, pb = _action_pairs(na), _action_pairs(nb)
     hi = q[:, :, pa[:, 1, None], pb[None, :, 1]]
     lo = q[:, :, pa[:, 0, None], pb[None, :, 0]]
-    inc = (np.outer(spec.mu, spec.mu)[:, :, None, None] * (hi - lo)).transpose(2, 3, 0, 1)
+    return (np.outer(spec.mu, spec.mu)[:, :, None, None] * (hi - lo)).transpose(2, 3, 0, 1)
+
+
+def _increment_keys(spec: GameSpec) -> list:
+    """``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` for every entry of
+    ``inc[i, j, s, t]`` against ``inc[i, j, s', t']``, in row-major order."""
     acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
-    keys = [
+    return [
         (gs, ga, gps, gpa, acts_a[a_hi], acts_a[a_lo], acts_b[b_hi], acts_b[b_lo])
-        for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(pa.tolist(), pb.tolist())
-        for gs, ga, gps, gpa in itertools.product(gains, repeat=4)
+        for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(
+            _action_pairs(len(acts_a)).tolist(), _action_pairs(len(acts_b)).tolist())
+        for gs, ga, gps, gpa in itertools.product(spec.channel.gains, repeat=4)
     ]
-    return inc, keys
+
+
+def _increment_key(spec: GameSpec, index: tuple) -> tuple:
+    """The ``_increment_keys`` entry at ``index = (i, j, s, t, s', t')``."""
+    i, j, *g = index
+    acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
+    a_lo, a_hi = _action_pairs(len(acts_a))[i].tolist()
+    b_lo, b_hi = _action_pairs(len(acts_b))[j].tolist()
+    return (tuple(spec.channel.gains[k] for k in g)
+            + (acts_a[a_hi], acts_a[a_lo], acts_b[b_hi], acts_b[b_lo]))
 
 
 def require_two_actions(spec: GameSpec) -> None:
@@ -155,7 +170,7 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
     denominator are excluded from the max and reported.
     """
     require_two_actions(spec)
-    inc, keys = _increments(spec)
+    inc, keys = _increments(spec), _increment_keys(spec)
     num = inc[:, :, :, :, None, None]
     den = inc[:, :, None, None, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -323,27 +338,34 @@ def check_monotone_policy(
     acts_b = np.array(spec.actions_sensor)
     exp_a = np.array([float(p.strat_p1.probs @ acts_a) for p in policies])
     exp_b = np.array([float(p.strat_p2.probs @ acts_b) for p in policies])
-    arg_a = np.array([acts_a[int(np.argmax(p.strat_p1.probs))] for p in policies])
-    arg_b = np.array([acts_b[int(np.argmax(p.strat_p2.probs))] for p in policies])
-    points = np.array([(s.tau, s.g_s, s.g_a) for s in spec.states])
-    keep = np.flatnonzero(points[:, 0] >= min_tau)
-    points = np.asfortranarray(points[keep])
-    exp_fail = arg_fail = 0
-    exp_wit = []
-    arg_wit = []
-    for r, i in enumerate(keep.tolist()):
-        lo = keep[_strictly_below(points, r)]
-        exp_bad = lo[~((exp_a[i] > exp_a[lo]) & (exp_b[i] > exp_b[lo]))]
-        arg_bad = lo[~((arg_a[i] >= arg_a[lo]) & (arg_b[i] >= arg_b[lo]))]
-        exp_fail += exp_bad.size
-        arg_fail += arg_bad.size
-        exp_wit += [(i, j) for j in exp_bad[:WITNESS_CAP - len(exp_wit)].tolist()]
-        arg_wit += [(i, j) for j in arg_bad[:WITNESS_CAP - len(arg_wit)].tolist()]
+    pa, pb = policy_arrays(policies)
+    arg_a, arg_b = acts_a[pa.argmax(axis=1)], acts_b[pb.argmax(axis=1)]
+    n_pairs = spec.compiled.n_pairs
+    gains = [(s.g_s, s.g_a) for s in spec.states[:n_pairs]]
+    ordered = [(ph, pl) for ph, pl in itertools.product(range(n_pairs), repeat=2)
+               if gains[ph][0] > gains[pl][0] and gains[ph][1] > gains[pl][1]]
+    t0 = max(min_tau, 0)
+
+    def scan(a, b, rises):
+        a, b = (v.reshape(-1, n_pairs)[t0:] for v in (a, b))
+        below = np.tri(len(a), k=-1, dtype=bool)  # t > t'
+        failures, candidates = 0, []
+        for ph, pl in ordered:
+            ok = rises(a[:, ph, None], a[:, pl]) & rises(b[:, ph, None], b[:, pl])
+            bad = np.flatnonzero(below & ~ok)
+            failures += bad.size
+            t, u = np.divmod(bad[:WITNESS_CAP], len(a))
+            candidates += zip(((t + t0) * n_pairs + ph).tolist(),
+                              ((u + t0) * n_pairs + pl).tolist())
+        return failures, tuple(sorted(candidates)[:WITNESS_CAP])
+
+    exp_fail, exp_wit = scan(exp_a, exp_b, np.greater)
+    arg_fail, arg_wit = scan(arg_a, arg_b, np.greater_equal)
     return MonotoneReport(
         expected_failures=exp_fail,
-        expected_witnesses=tuple(exp_wit),
+        expected_witnesses=exp_wit,
         argmax_failures=arg_fail,
-        argmax_witnesses=tuple(arg_wit),
+        argmax_witnesses=arg_wit,
     )
 
 
@@ -393,14 +415,15 @@ def continuation_difference_positive(spec: GameSpec, values: np.ndarray):
     to be strictly positive. Returns ``(ok, witness)``.
     """
     vbar = gain_averaged_values(spec, values)
-    inc, keys = _increments(spec)
+    inc = _increments(spec)
     for m in range(spec.tau_max - 1):
         gap1 = vbar[0] - vbar[m + 1]
         gap2 = vbar[0] - vbar[m + 2]
         val = inc[:, :, None, None, :, :] * gap2 - inc[:, :, :, :, None, None] * gap1
         bad = np.flatnonzero(val <= 0)
         if bad.size:
-            return False, (m,) + keys[bad[0]] + (val.flat[bad[0]],)
+            key = _increment_key(spec, np.unravel_index(bad[0], val.shape))
+            return False, (m,) + key + (val.flat[bad[0]],)
     return True, None
 
 

@@ -1,4 +1,4 @@
-"""The four per-row CSV writers, kept as references.
+"""The per-row CSV writers and the ``json.dumps`` table route, kept as references.
 
 Before the writers shared ``game._write_csv``, each formatted its file
 one row at a time with its own cell rules and its own ``:g`` labels: the
@@ -8,7 +8,13 @@ cell through ``_fmt``, and the per-type strategy wrote one row per
 action. The tests check that the shared writer reproduces their bytes
 wherever ``:g`` keeps the labels distinct. ``write_curve`` is the row
 loop ``cli._write_curve`` ran before.
+
+``qtables_to_json`` and ``policies_json`` build the nested-list document
+and hand it to ``json.dumps(doc, indent=2, sort_keys=True)``, as the
+JSON outputs were written before they shared ``nashq._game_json``.
 """
+
+import json
 
 
 def write_qtable_csv(spec, tables, path) -> None:
@@ -72,3 +78,30 @@ def write_type_strategy_csv(spec, strategy, player, path) -> None:
         for ai, a in enumerate(actions):
             row = [f"{a:g}"] + [repr(float(strategy.probs[t, ai])) for t in range(len(spec.types))]
             fh.write(",".join(row) + "\n")
+
+
+def _game_doc(spec, **fields) -> str:
+    return json.dumps({
+        "states": [[s.tau, s.g_s, s.g_a] for s in spec.states],
+        "actions_attacker": list(spec.actions_attacker),
+        "actions_sensor": list(spec.actions_sensor),
+        **fields,
+    }, indent=2, sort_keys=True)
+
+
+def qtables_to_json(spec, tables) -> str:
+    return _game_doc(spec, q1=tables.q1.tolist(), q2=tables.q2.tolist(),
+                     visits=tables.visits.tolist())
+
+
+def policies_json(spec, policies) -> str:
+    return _game_doc(spec, policies=[
+        {
+            "attacker": p.strat_p1.probs.tolist(),
+            "sensor": p.strat_p2.probs.tolist(),
+            "value_attacker": p.value_p1,
+            "value_sensor": p.value_p2,
+            "deviation_gap": p.deviation_gap,
+        }
+        for p in policies
+    ])

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from types import SimpleNamespace
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 import per_tuple_reference as ref
 from jamgame.channel import ChannelSpec
+from jamgame.config import parse_config
 from jamgame.estimation import SystemModel
 from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import (
     WITNESS_CAP,
+    _increment_key,
+    _increment_keys,
+    _increments,
     check_monotone_policy,
     check_q_supermodular,
     check_supermodular,
@@ -254,6 +259,34 @@ class TestRewardIdentities:
         assert ok and wit is None
 
 
+class TestIncrementKeys:
+    """The continuation check's one witness key is the full key list's entry."""
+
+    @staticmethod
+    def check_keys(spec):
+        inc = _increments(spec)
+        shape = inc.shape + inc.shape[2:]
+        keys = _increment_keys(spec)
+        assert len(keys) == math.prod(shape)
+        for k, key in enumerate(keys):
+            assert repr(_increment_key(spec, np.unravel_index(k, shape))) == repr(key)
+
+    @pytest.mark.parametrize("profile", ["default", "monotone", "scaled"])
+    def test_profiles(self, profile, request):
+        spec = request.getfixturevalue(f"{profile}_config").game
+        self.check_keys(spec)
+        v2 = [p.value_p2 for p in request.getfixturevalue(f"{profile}_oracle").policies]
+        got = continuation_difference_positive(spec, v2)
+        want = ref.continuation_difference_positive(spec, gain_averaged_values(spec, v2))
+        assert repr(got) == repr(want)
+        assert got[0] == (profile == "monotone")
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(spec=game_specs())
+    def test_random_games(self, spec):
+        self.check_keys(spec)
+
+
 class TestPipelineReport:
     def test_full_monotone_profile_report(self, monotone_config):
         spec = monotone_config.game
@@ -349,7 +382,8 @@ def _assert_order_checks_match_loops(spec, tables, policies, min_taus):
 
 
 class TestOrderChecksMatchPairLoops:
-    """The row scans reproduce the product loop, the pair loop and the Fraction sum."""
+    """The supermodularity row scan and the gain-pair scan reproduce the product loop,
+    the pair loop and the Fraction sum."""
 
     @pytest.mark.parametrize("profile", ["default", "monotone", "scaled"])
     def test_profiles(self, profile, request):
@@ -367,6 +401,23 @@ class TestOrderChecksMatchPairLoops:
         assert rep.expected_failures > WITNESS_CAP
         assert len(rep.expected_witnesses) == WITNESS_CAP
         assert all(spec.states[j].tau >= 1 for _, j in rep.expected_witnesses)
+
+    def test_witnesses_merge_across_gain_pairs(self, scaled_profile, scaled_oracle):
+        # The scaled oracle's verdicts are all false: on its first holding times
+        # the failing pairs exceed WITNESS_CAP and the first ones come from
+        # several pairs of gain pairs.
+        doc = copy.deepcopy(scaled_profile)
+        doc["game"]["tau_max"] = 5
+        spec = parse_config(doc).game
+        policies = scaled_oracle.policies[:spec.n_states]
+        min_taus = (0, spec.tau_max // 2, spec.tau_max)
+        _assert_order_checks_match_loops(spec, (), policies, min_taus)
+        n_pairs = spec.compiled.n_pairs
+        for min_tau in min_taus[:2]:
+            rep = check_monotone_policy(spec, policies, min_tau=min_tau)
+            assert rep.expected_failures > WITNESS_CAP
+            assert len({(i % n_pairs, j % n_pairs) for i, j in rep.expected_witnesses}) > 1
+        assert check_monotone_policy(spec, policies, min_tau=spec.tau_max).expected_failures == 0
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(spec=game_specs(), seed=st.integers(0, 2**32 - 1))

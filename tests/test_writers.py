@@ -1,22 +1,27 @@
-"""The shared CSV writer against the per-row writers it replaced, byte for byte.
+"""The shared writers against the writers they replaced, byte for byte.
 
-``row_writer_reference`` keeps the four row loops; every case here writes
-one file with each and compares the bytes. The hand-built cases hold the
-values whose text is easy to get wrong (``-0.0`` beside ``0.0``,
-``1e-05``, ``1e+16``, integral floats) and row counts at the edges of
-one ``_BLOCK_STEPS`` block.
+``row_writer_reference`` keeps the four CSV row loops and the
+``json.dumps`` route of the two table JSON files; every case here writes
+one file or text with each and compares the bytes. The hand-built cases
+hold the values whose text is easy to get wrong (``-0.0`` beside ``0.0``,
+``1e-05``, ``1e+16``, ``5e-324``, integral floats) and row counts at the
+edges of one ``_BLOCK_STEPS`` block.
 """
 
 import dataclasses
+import math
 import types
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import row_writer_reference as ref
 from jamgame import bayesian, cli, game, nashq, structure
 from jamgame.bayesian import TypeStrategy
+from jamgame.game import GameState
 from jamgame.nashq import QTables, policy_arrays
 
 BLOCK = game._BLOCK_STEPS
@@ -144,3 +149,76 @@ def test_type_strategy_awkward_cells(tmp_path, default_config, default_oracle, p
     bspec = shipped_bayes(default_config, default_oracle)
     strategy = TypeStrategy(probs=[[1.0 - 1e-05, 1e-05], [0.0, 1.0]])
     check_type_strategy(tmp_path, bspec, strategy, player)
+
+
+def check_json(spec, tables, policies):
+    """Both table JSON writers against the ``json.dumps`` route."""
+    assert nashq.qtables_to_json(spec, tables) == ref.qtables_to_json(spec, tables)
+    assert cli._policies_json(spec, policies) == ref.policies_json(spec, policies)
+
+
+@pytest.mark.parametrize("name", ["default", "monotone", "scaled"])
+def test_json_profiles(request, name):
+    spec = request.getfixturevalue(f"{name}_config").game
+    oracle = request.getfixturevalue(f"{name}_oracle")
+    check_json(spec, oracle.tables, oracle.policies)
+    if name == "default":
+        learned = request.getfixturevalue("default_learning")[0]
+        check_json(spec, learned.tables, learned.policies)
+
+
+# Finite values whose JSON texts differ in form, and visit counts up to int64.
+JSON_VALUES = st.one_of(
+    st.sampled_from(AWKWARD + (5e-324, -5e-324, 1.7976931348623157e308)),
+    st.floats(allow_nan=False, allow_infinity=False))
+COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))
+
+
+def _policy(probs_a, probs_b, v1, v2, gap):
+    return types.SimpleNamespace(
+        strat_p1=types.SimpleNamespace(probs=np.array(probs_a)),
+        strat_p2=types.SimpleNamespace(probs=np.array(probs_b)),
+        value_p1=v1, value_p2=v2, deviation_gap=gap)
+
+
+@st.composite
+def json_games(draw):
+    """A game header of 1-30 states, 1-4 actions a side, its tables and policies."""
+    n, na, nb = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def values(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(JSON_VALUES, min_size=size, max_size=size))).reshape(shape)
+
+    taus = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    gains = values(n, 2).tolist()
+    spec = types.SimpleNamespace(
+        states=tuple(GameState(t, gs, ga) for t, (gs, ga) in zip(taus, gains)),
+        actions_attacker=tuple(values(na).tolist()), actions_sensor=tuple(values(nb).tolist()))
+    visits = draw(st.lists(COUNTS, min_size=n * na * nb, max_size=n * na * nb))
+    tables = QTables(q1=values(n, na, nb),
+                     visits=np.array(visits, dtype=np.int64).reshape(n, na, nb))
+    policies = [_policy(pa, pb, *v) for pa, pb, v in
+                zip(values(n, na), values(n, nb), values(n, 3).tolist())]
+    return spec, tables, policies
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(game=json_games())
+def test_json_drawn_tables(game):
+    check_json(*game)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_non_finite_rejected(default_config, default_oracle, bad):
+    spec = default_config.game
+    q1 = default_oracle.tables.q1.copy()
+    q1[3, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        nashq.qtables_to_json(spec, QTables(q1=q1, visits=default_oracle.tables.visits))
+    policies = list(default_oracle.policies)
+    p = policies[2]
+    for field in ("value_p1", "deviation_gap"):
+        policies[2] = dataclasses.replace(p, **{field: bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._policies_json(spec, policies)
