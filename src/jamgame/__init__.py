@@ -47,7 +47,6 @@ from .estimation import (
 from .game import (
     GameSpec,
     GameState,
-    reward_attacker,
     simulate_trajectory,
 )
 from .nashq import (

@@ -537,19 +537,13 @@ def _saddle(a):
     return None
 
 
-def _closed_form(a, ij):
-    """Equilibrium (x, y) of the zero-sum game with row payoffs ``a``, or None.
+def _closed_form(a):
+    """The 2x2 mixing weights (x, y) of the zero-sum game with row payoffs
+    ``a`` (rows of floats), or None.
 
-    Works in scalars on ``a`` given as rows of floats; ``ij`` is
-    ``_saddle(a)``. A pure saddle point gives the one-hot pair; 2x2 games
-    without one use the closed-form mixing weights, else None.
+    Applies to 2x2 games without a pure saddle point (``_saddle(a)`` is
+    None), whose weights lie in [0, 1]; any other game gives None.
     """
-    if ij is not None:
-        x = [0.0] * len(a)
-        y = [0.0] * len(a[0])
-        x[ij[0]] = 1.0
-        y[ij[1]] = 1.0
-        return x, y
     if len(a) == len(a[0]) == 2:
         (p11, p12), (p21, p22) = a
         den = (p11 - p12) + (p22 - p21)
@@ -561,17 +555,17 @@ def _closed_form(a, ij):
     return None
 
 
-def _zero_sum_strategies(a, ij) -> tuple:
+def _zero_sum_strategies(a) -> tuple:
     """Strategies (x, y), as lists, for the zero-sum game with row payoffs ``a``
-    whose saddle scan ``_saddle(a)`` gave ``ij``.
+    that has no pure saddle point.
 
-    The closed form when it applies, uncertified, else the certified
+    The 2x2 closed form when it applies, uncertified, else the certified
     strategies of the cold route (``_cold_results`` on one row). The
     learner scans each stage once and takes a pure saddle's exploring
     CDFs from a table, so it calls this only on the stages without one;
     ``stage_values`` is its form for a table.
     """
-    sol = _closed_form(a, ij)
+    sol = _closed_form(a)
     if sol is not None:
         return sol
     a = np.array(a, dtype=float)[None]
@@ -612,11 +606,12 @@ def _bilinear_rows(x: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(q: np.ndarray) -> tuple:
-    """``_closed_form`` of every ``q[s]`` as array operations: ``(x, y, closed)``.
+    """``_saddle``'s one-hot pair, else ``_closed_form``, of every ``q[s]`` as
+    array operations: ``(x, y, closed)``.
 
     Pure saddles by the scan (``argmax``/``argmin`` keep the first index
-    of a tie, as ``list.index`` does), then 2x2 games by the mixing
-    formula. ``closed`` masks the states either one solved; the other
+    of a tie, as ``list.index`` does), then the other 2x2 games by the
+    mixing formula. ``closed`` masks the states either one solved; the other
     rows of ``x`` and ``y`` are zero.
     """
     if not np.isfinite(q).all():
@@ -681,9 +676,10 @@ def stage_values(q: np.ndarray, hint=None) -> tuple:
     """Value of every zero-sum stage game with row payoffs ``q[s]``, in one pass.
 
     ``values[s]`` is ``x' q[s] y`` summed in ``_bilinear``'s order, for
-    the strategies ``_zero_sum_strategies`` takes: the closed form,
-    else the certified support solve on the ``hint`` supports, else the
-    cold route (the square-support search, else the LP). Returns
+    the strategies the learner takes: a pure saddle's one-hot pair, else
+    ``_zero_sum_strategies`` (the 2x2 closed form), else the certified
+    support solve on the ``hint`` supports, else the cold route (the
+    square-support search, else the LP). Returns
     ``(values, supports)``; ``supports`` (boolean masks of each state's
     row and column support) is the ``hint`` for the next pass on a
     nearby table, such as the next value-iteration sweep.

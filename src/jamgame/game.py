@@ -9,8 +9,8 @@ there), which keeps the state space finite.
 
 ``GameSpec.compiled`` holds the rewards and the factored transition law,
 which value iteration, the learner, ``play`` (the one stepping engine),
-the Bayesian game and the structure checks read; ``reward_attacker`` is
-the scalar reference reward. Stationary fading is the Markov chain whose
+the Bayesian game and the structure checks read; the reward formula
+above exists once, in ``_compile``. Stationary fading is the Markov chain whose
 every row is the stationary law.
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "CompiledGame",
     "GameSpec",
     "GameState",
-    "reward_attacker",
     "play",
     "fixed_policy",
     "simulate_trajectory",
@@ -208,17 +207,6 @@ class GameSpec:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-
-def reward_attacker(spec: GameSpec, m: int, a: float, b: float) -> float:
-    """Attacker stage reward at holding time ``m``; the sensor gets its negation."""
-    if not 0 <= m <= spec.tau_max:
-        raise ValueError(f"holding time {m} outside [0, {spec.tau_max}]")
-    if a not in spec.actions_attacker:
-        raise ValueError(f"attacker action {a} not in {spec.actions_attacker}")
-    if b not in spec.actions_sensor:
-        raise ValueError(f"sensor action {b} not in {spec.actions_sensor}")
-    return spec.steady.trace_table[m] + spec.alpha_s * b - spec.alpha_a * a
 
 
 def play(spec: GameSpec, policy, start: int, steps: int, rng: np.random.Generator):

@@ -9,7 +9,8 @@ state's stage game ``Q1[s']``, so the update is
 
     Q1 <- (1 - lr) Q1 + lr * (r1 + beta * pi1' Q1[s'] pi2)
 
-with a per-cell harmonic learning rate.
+with a per-cell harmonic learning rate ``lr_numerator / (lr_offset + n)``
+at the cell's ``n``-th visit.
 
 The oracle iterates the same fixed point directly from the game's
 compiled, factored transition law (a beta-contraction in the sup norm),
@@ -29,6 +30,9 @@ support it had one sweep earlier, kept only if its deviation gap is
 within ``CERT_TOL``, else the cold route. ``extract_policy`` certifies
 every state in one ``stage_policies`` pass, which the oracle hints with
 its final sweep's supports.
+
+Tables are written as JSON (``qtables_to_json``) and CSV
+(``write_qtable_csv``); no command reads a table file back.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from itertools import accumulate
 import numpy as np
 
 from .equilibria import (
-    ZERO_SUM_TOL,
     _bilinear,
     _saddle,
     _zero_sum_strategies,
@@ -60,7 +63,6 @@ __all__ = [
     "extract_policy",
     "discounted_rollouts",
     "qtables_to_json",
-    "qtables_from_json",
     "write_qtable_csv",
 ]
 
@@ -115,16 +117,12 @@ class LearnConfig:
         if not 0.0 <= self.exploration <= 1.0:
             raise ValueError("exploration must lie in [0, 1]")
 
-    def learning_rate(self, count: int) -> float:
-        """Rate used at the ``count``-th visit of a cell (count >= 1)."""
-        return self.lr_numerator / (self.lr_offset + count)
-
 
 @dataclass(frozen=True, eq=False)
 class LearnResult:
     tables: QTables
     policies: list
-    curve: np.ndarray  # per-episode Q1 values of the tracked state
+    curve: np.ndarray  # per-episode Q1 values of state 0
     mirror_max: float  # max |Q1 + Q2| of the returned tables
     snapshots: dict = field(default_factory=dict)
 
@@ -144,7 +142,6 @@ class ValueIterationResult:
 def nash_q_learn(
     spec: GameSpec,
     cfg: LearnConfig,
-    track_state: int = 0,
     snapshot_episodes: tuple = (),
 ) -> LearnResult:
     """Learn the equilibrium Q-table from simulated play.
@@ -160,13 +157,16 @@ def nash_q_learn(
     takes its CDFs from a precomputed ``na x nb`` table and its value as
     ``0.0 + Q1[s][i][j]``, the bits ``_bilinear`` gives on the one-hot pair.
 
-    ``snapshot_episodes`` requests copies of Q1 after the given episode
-    counts (used to measure convergence against the oracle).
+    ``curve`` holds state 0's Q1 row after every episode. ``snapshot_episodes`` requests copies of Q1 after the given
+    episode counts (used to measure convergence against the oracle); a
+    count outside ``[1, episodes]`` raises ``ValueError``.
     """
+    wanted = sorted(set(int(e) for e in snapshot_episodes))
+    outside = [e for e in wanted if not 1 <= e <= cfg.episodes]
+    if outside:
+        raise ValueError(f"snapshot episodes {outside} are outside [1, {cfg.episodes}]")
     rng = np.random.default_rng(cfg.seed)
     ns, na, nb = spec.compiled.reward.shape
-    if not 0 <= track_state < ns:
-        raise ValueError(f"track_state {track_state} is outside [0, {ns})")
     # The loop runs on Python floats: tables are nested lists until the end.
     r1 = spec.compiled.reward.tolist()
     q1 = np.zeros((ns, na, nb)).tolist()
@@ -195,7 +195,7 @@ def nash_q_learn(
             i, j = ij
             cache[si] = entry = (saddle_cdfs[i][j], 0.0 + a[i][j])
         else:
-            pi1, pi2 = _zero_sum_strategies(a, ij)
+            pi1, pi2 = _zero_sum_strategies(a)
             cache[si] = entry = ((explore_cdf(pi1, mix_a), explore_cdf(pi2, mix_b)),
                                  _bilinear(pi1, a, pi2))
         return entry
@@ -204,9 +204,8 @@ def nash_q_learn(
         return (cache[si] or stage(si))[0]
 
     curve = np.empty((cfg.episodes + 1, na, nb))
-    curve[0] = q1[track_state]
+    curve[0] = q1[0]
     snapshots = {}
-    wanted = sorted(set(int(e) for e in snapshot_episodes))
 
     for ep in range(cfg.episodes):
         start = int(rng.integers(ns))
@@ -214,11 +213,11 @@ def nash_q_learn(
             target = r1[si][ai][bi] + beta * (cache[nxt] or stage(nxt))[1]
             count = visits[si][ai][bi] + 1
             visits[si][ai][bi] = count
-            lr = lr_num / (lr_off + count)  # cfg.learning_rate(count)
+            lr = lr_num / (lr_off + count)
             row = q1[si][ai]
             row[bi] = (1.0 - lr) * row[bi] + lr * target
             cache[si] = None
-        curve[ep + 1] = q1[track_state]
+        curve[ep + 1] = q1[0]
         if ep + 1 in wanted:
             snapshots[ep + 1] = np.array(q1)
 
@@ -396,19 +395,6 @@ def _game_json(spec: GameSpec, **fields) -> str:
 
 def qtables_to_json(spec: GameSpec, tables: QTables) -> str:
     return _game_json(spec, q1=tables.q1, q2=tables.q2, visits=tables.visits)
-
-
-def qtables_from_json(text: str) -> QTables:
-    """Tables from ``qtables_to_json`` output; the stored ``q2`` must mirror ``q1``."""
-    doc = json.loads(text)
-    tables = QTables(
-        q1=np.array(doc["q1"], dtype=float),
-        visits=np.array(doc["visits"], dtype=np.int64),
-    )
-    q2 = np.array(doc["q2"], dtype=float)
-    if q2.shape != tables.q1.shape or not (np.abs(tables.q1 + q2) <= ZERO_SUM_TOL).all():
-        raise ValueError("stored q2 is not the negation of q1")
-    return tables
 
 
 def _q1_labels(spec: GameSpec) -> list:

@@ -13,7 +13,9 @@ facts behind "larger state implies larger equilibrium power":
 
 The checks read the game off ``spec.compiled``: the ratio bound and the
 continuation difference share one table of weighted arrival-probability
-increments, and the reward cancellation's float residue comes from the
+increments. The ratio bound is one reduction over that table: the max,
+the count of excluded tuples and the key of the first non-positive
+increment. The reward cancellation's float residue comes from the
 compiled rewards. Its exact check evaluates the alternating sum of the
 reward formula in rational arithmetic over the stored float parameters,
 so "equals zero" is not a round-off accident. Supermodularity scans
@@ -58,19 +60,19 @@ __all__ = [
 class EpsilonReport:
     """Channel ratio bound over every gain/action tuple.
 
-    ``epsilon_values`` maps ``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` to
-    the ratio of arrival-probability increments weighted by the stationary
-    masses; ``excluded`` lists tuples whose denominator vanished.
-    ``condition_holds`` states whether every arrival-probability increment
-    was strictly positive (the premise under which the bound is usable);
-    ``witness`` is the first offending tuple otherwise.
+    ``epsilon_max`` is the largest ratio of arrival-probability increments
+    weighted by the stationary masses, over the tuples ``(g_s, g_a, g_s',
+    g_a', a+, a-, b+, b-)`` whose denominator is nonzero; ``n_excluded``
+    counts the tuples whose denominator vanished. ``condition_holds``
+    states whether every arrival-probability increment was strictly
+    positive (the premise under which the bound is usable); ``witness``
+    is the first offending tuple otherwise.
     """
 
-    epsilon_values: dict
     epsilon_max: float
     condition_holds: bool
     witness: tuple = None
-    excluded: tuple = ()
+    n_excluded: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,20 +136,9 @@ def _increments(spec: GameSpec) -> np.ndarray:
     return (np.outer(spec.mu, spec.mu)[:, :, None, None] * (hi - lo)).transpose(2, 3, 0, 1)
 
 
-def _increment_keys(spec: GameSpec) -> list:
-    """``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` for every entry of
-    ``inc[i, j, s, t]`` against ``inc[i, j, s', t']``, in row-major order."""
-    acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
-    return [
-        (gs, ga, gps, gpa, acts_a[a_hi], acts_a[a_lo], acts_b[b_hi], acts_b[b_lo])
-        for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(
-            _action_pairs(len(acts_a)).tolist(), _action_pairs(len(acts_b)).tolist())
-        for gs, ga, gps, gpa in itertools.product(spec.channel.gains, repeat=4)
-    ]
-
-
 def _increment_key(spec: GameSpec, index: tuple) -> tuple:
-    """The ``_increment_keys`` entry at ``index = (i, j, s, t, s', t')``."""
+    """``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` of the entry ``inc[i, j, s, t]``
+    compared against ``inc[i, j, s', t']``, at ``index = (i, j, s, t, s', t')``."""
     i, j, *g = index
     acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
     a_lo, a_hi = _action_pairs(len(acts_a))[i].tolist()
@@ -167,25 +158,26 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
 
     Each tuple compares the weighted arrival-probability increment at the
     lower state's gains against the higher state's. Tuples with a zero
-    denominator are excluded from the max and reported.
+    denominator are excluded from the max and counted; the witness is the
+    first tuple, in row-major order of ``inc[i, j, s, t]`` against
+    ``inc[i, j, s', t']``, whose increment is not positive.
     """
     require_two_actions(spec)
-    inc, keys = _increments(spec), _increment_keys(spec)
+    inc = _increments(spec)
     num = inc[:, :, :, :, None, None]
     den = inc[:, :, None, None, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / den
-    zero = np.broadcast_to(den == 0.0, ratio.shape).ravel().tolist()
-    values = {key: r for key, r, z in zip(keys, ratio.ravel().tolist(), zero) if not z}
-    if not values:
+    zero = np.broadcast_to(den == 0.0, ratio.shape)
+    if zero.all():
         raise ValueError("all denominators vanished; channel is degenerate")
     bad = np.flatnonzero(np.broadcast_to(num <= 0, ratio.shape))
+    witness = _increment_key(spec, np.unravel_index(bad[0], ratio.shape)) if bad.size else None
     return EpsilonReport(
-        epsilon_values=values,
-        epsilon_max=max(values.values()),
+        epsilon_max=float(ratio[~zero].max()),
         condition_holds=bad.size == 0,
-        witness=keys[bad[0]] if bad.size else None,
-        excluded=tuple(key for key, z in zip(keys, zero) if z),
+        witness=witness,
+        n_excluded=int(zero.sum()),
     )
 
 
@@ -449,7 +441,7 @@ def structure_report(spec: GameSpec, oracle) -> dict:
     return {
         "epsilon_max": eps.epsilon_max,
         "epsilon_condition_holds": eps.condition_holds,
-        "epsilon_excluded_tuples": len(eps.excluded),
+        "epsilon_excluded_tuples": eps.n_excluded,
         "ratio_per_holding_time": {str(m): t3.ratios[m] for m in t3.ratios},
         "ratio_holds": {str(m): t3.holds[m] for m in t3.holds},
         "ratio_undefined": list(t3.undefined),

@@ -4,12 +4,15 @@ This is the Nash-Q learner as it ran on numpy arrays: the stage-game
 closed form on an ndarray, the exploring CDFs from ``np.add.accumulate``,
 the tables indexed as arrays, and a stepper that calls ``rng.random()``
 three times per step. The tests check that ``nash_q_learn``, ``play`` and
-``equilibria._closed_form`` reproduce it bit for bit.
+the scalar saddle scan and closed form (``equilibria._saddle`` and
+``equilibria._closed_form``) reproduce it bit for bit.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+
+from scalar_law_reference import learning_rate
 
 from jamgame.channel import draw_index
 from jamgame.equilibria import StageGame, zero_sum_value
@@ -72,8 +75,9 @@ def bilinear(x, matrix, y):
     return total
 
 
-def nash_q_learn(spec, cfg, track_state=0, snapshot_episodes=()):
-    """Tables, curve and snapshots of the numpy loop, plus its LP fallback count."""
+def nash_q_learn(spec, cfg, snapshot_episodes=()):
+    """Tables, state 0's curve and snapshots of the numpy loop, plus its LP
+    fallback count."""
     rng = np.random.default_rng(cfg.seed)
     r1 = spec.compiled.reward
     ns, na, nb = r1.shape
@@ -103,7 +107,7 @@ def nash_q_learn(spec, cfg, track_state=0, snapshot_episodes=()):
         return cache[si]
 
     curve = np.empty((cfg.episodes + 1, na * nb))
-    curve[0] = q1[track_state].ravel()
+    curve[0] = q1[0].ravel()
     snapshots = {}
     for ep in range(cfg.episodes):
         start = int(rng.integers(ns))
@@ -112,10 +116,10 @@ def nash_q_learn(spec, cfg, track_state=0, snapshot_episodes=()):
             npi1, npi2 = stage(nxt)[:2]
             target = r1[si, ai, bi] + spec.beta * bilinear(npi1, q1[nxt], npi2)
             visits[si, ai, bi] += 1
-            lr = cfg.learning_rate(int(visits[si, ai, bi]))
+            lr = learning_rate(cfg, int(visits[si, ai, bi]))
             q1[si, ai, bi] = (1.0 - lr) * q1[si, ai, bi] + lr * target
             cache[si] = None
-        curve[ep + 1] = q1[track_state].ravel()
+        curve[ep + 1] = q1[0].ravel()
         if ep + 1 in snapshot_episodes:
             snapshots[ep + 1] = q1.copy()
     return SimpleNamespace(q1=q1, visits=visits, curve=curve, snapshots=snapshots,

@@ -2,8 +2,9 @@
 
 Before ``shapley_value_iteration`` solved a sweep's stage games in one
 ``equilibria.stage_values`` pass, it walked the states one at a time:
-``_zero_sum_strategies`` on the state's table as lists (the closed form,
-else the LP's strategies), then ``_bilinear`` for its value. The
+``zero_sum_strategies`` on the state's table as lists (the one-hot pair
+at a pure saddle, else the 2x2 closed form, else the LP's strategies),
+then ``_bilinear`` for its value. The
 policies came from ``solve_zero_sum`` (now in ``single_game_reference``)
 on each final stage game, with no support hint. The tests check that
 the batched pass reproduces it bit for bit.
@@ -11,9 +12,9 @@ the batched pass reproduces it bit for bit.
 
 import numpy as np
 
-from single_game_reference import solve_zero_sum
+from single_game_reference import solve_zero_sum, zero_sum_strategies
 
-from jamgame.equilibria import StageGame, _bilinear, _saddle, _zero_sum_strategies
+from jamgame.equilibria import StageGame, _bilinear
 from jamgame.nashq import QTables
 
 
@@ -33,7 +34,7 @@ def shapley_value_iteration(spec, tol=1e-10, max_sweeps=100000):
     for sweep in range(1, max_sweeps + 1):
         v = np.empty(ns)
         for si, a in enumerate(q1.tolist()):
-            x, y = _zero_sum_strategies(a, _saddle(a))
+            x, y = zero_sum_strategies(a)
             v[si] = _bilinear(x, a, y)
         new = r1 + spec.beta * model.expected(v)
         delta = float(np.abs(new - q1).max())

@@ -5,7 +5,10 @@ they evaluated the model one tuple at a time: a ``payoff(m, a, b, g_s,
 g_a)`` callable built on ``reward_attacker`` and the erfc arrival law,
 the expanded matrix and the per-type deviation gaps as nested loops over
 it, and the ratio bound, the continuation difference and the reward
-residue as loops over every gain and action tuple. The order checks
+residue as loops over every gain and action tuple. The ratio bound also
+kept every tuple's ratio in a dict keyed by ``increment_keys``; the
+library now keeps only the max, the premise, the witness and the count
+of excluded tuples. The order checks
 walked every pair of points: supermodularity as four nested products,
 policy monotonicity as a double loop over states, and the exact reward
 cancellation as a generator of ``Fraction`` sums. The tests check that
@@ -18,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from jamgame.channel import packet_arrival_prob
-from jamgame.game import reward_attacker
+from scalar_law_reference import reward_attacker
 
 
 def payoff_function(spec, payoff_mode="stage", holding_values=None):
@@ -113,6 +116,19 @@ def bayes_deviation_gap(bspec, payoff, m, s_attacker, s_sensor):
 
 def _arrival(spec, a, b, g_s, g_a):
     return packet_arrival_prob(spec.channel, b, g_s, a, g_a)
+
+
+def increment_keys(spec) -> list:
+    """``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` for every entry of
+    ``inc[i, j, s, t]`` against ``inc[i, j, s', t']``, in row-major order."""
+    acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
+    return [
+        (gs, ga, gps, gpa, acts_a[a_hi], acts_a[a_lo], acts_b[b_hi], acts_b[b_lo])
+        for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(
+            itertools.combinations(range(len(acts_a)), 2),
+            itertools.combinations(range(len(acts_b)), 2))
+        for gs, ga, gps, gpa in itertools.product(spec.channel.gains, repeat=4)
+    ]
 
 
 def epsilon_max(spec):

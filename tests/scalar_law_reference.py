@@ -1,4 +1,4 @@
-"""The scalar transition law, kept as the reference for the compiled one.
+"""The scalar game laws, kept as the references for the compiled ones.
 
 Before every caller read ``GameSpec.compiled``, the library stepped and
 valued the game through this law: one next-state dictionary per state
@@ -6,6 +6,11 @@ and joint action, built from the arrival probability and the gain
 weights, plus a map from ``GameState`` to its index. The tests check
 that the compiled, factored law and ``CompiledGame.expected`` agree with
 it, and that it has the paper's structure.
+
+The scalar stage reward ``reward_attacker`` and the learning-rate
+schedule ``learning_rate`` were library functions too, second copies of
+the compiled reward and of the learner's inline rate. The tests check
+the compiled rewards and the learner's updates against them.
 """
 
 from functools import cache
@@ -57,3 +62,19 @@ def transition_distribution(spec, state: GameState, a: float, b: float) -> dict:
                 fail = GameState(tau_fail, gs, ga)
                 out[fail] = out.get(fail, 0.0) + (1.0 - q) * w
     return out
+
+
+def reward_attacker(spec, m: int, a: float, b: float) -> float:
+    """Attacker stage reward at holding time ``m``; the sensor gets its negation."""
+    if not 0 <= m <= spec.tau_max:
+        raise ValueError(f"holding time {m} outside [0, {spec.tau_max}]")
+    if a not in spec.actions_attacker:
+        raise ValueError(f"attacker action {a} not in {spec.actions_attacker}")
+    if b not in spec.actions_sensor:
+        raise ValueError(f"sensor action {b} not in {spec.actions_sensor}")
+    return spec.steady.trace_table[m] + spec.alpha_s * b - spec.alpha_a * a
+
+
+def learning_rate(cfg, count: int) -> float:
+    """The learner's rate at the ``count``-th visit of a cell (count >= 1)."""
+    return cfg.lr_numerator / (cfg.lr_offset + count)

@@ -6,7 +6,11 @@ for a stack of games, the single-game routes had their own:
 products, ``support_enumeration`` solved one support pair at a time in a
 nested loop, and ``solve_zero_sum`` was a certified zero-sum entry point
 (the closed form when it certifies, else the LP) that no command reached.
-The tests check that the library reproduces them bit for bit.
+The scalar closed form once returned a pure saddle's one-hot pair
+itself; the learner reads that pair from a table instead, and
+``closed_form``/``zero_sum_strategies`` here put it back in front of
+``_closed_form``/``_zero_sum_strategies``. The tests check that the
+library reproduces them bit for bit.
 """
 
 import itertools
@@ -20,8 +24,29 @@ from jamgame.equilibria import (
     _closed_form,
     _saddle,
     _support_rows,
+    _zero_sum_strategies,
     zero_sum_value,
 )
+
+
+def _one_hot(a, ij):
+    x = [0.0] * len(a)
+    y = [0.0] * len(a[0])
+    x[ij[0]] = 1.0
+    y[ij[1]] = 1.0
+    return x, y
+
+
+def closed_form(a):
+    """The one-hot pair at the pure saddle ``_saddle(a)``, else ``_closed_form(a)``."""
+    ij = _saddle(a)
+    return _closed_form(a) if ij is None else _one_hot(a, ij)
+
+
+def zero_sum_strategies(a):
+    """The one-hot pair at the pure saddle ``_saddle(a)``, else ``_zero_sum_strategies(a)``."""
+    ij = _saddle(a)
+    return _zero_sum_strategies(a) if ij is None else _one_hot(a, ij)
 
 
 def deviation_gap(game, s1, s2) -> float:
@@ -90,7 +115,7 @@ def solve_zero_sum(game) -> EquilibriumResult:
     if not game.zero_sum:
         raise ValueError("solve_zero_sum requires payoff_p1 + payoff_p2 = 0")
     a = game.payoff_p1.tolist()
-    sol = _closed_form(a, _saddle(a))
+    sol = closed_form(a)
     if sol is not None:
         res = _result(game, *sol)
         if res.deviation_gap <= CERT_TOL:

@@ -170,7 +170,8 @@ def test_criterion_8_bayesian_reduction_and_certification():
     model = SystemModel(A=[[1.2]], C=[[0.7]], Q=[[0.8]], R=[[0.8]], Pi0=[[0.8]])
     # single-type spec reduces to the complete-information game
     single = ChannelSpec(gains=(0.7,), kernel=[[1.0]], sigma2=0.5)
-    from jamgame.game import GameSpec, reward_attacker
+    from jamgame.game import GameSpec
+    from scalar_law_reference import reward_attacker
     base = GameSpec(actions_attacker=(1.0, 6.0), actions_sensor=(2.0, 5.0),
                     alpha_s=1.0, alpha_a=1.0, beta=0.75, tau_max=4,
                     channel=single, model=model)

@@ -124,7 +124,7 @@ class TestExpandMatrix:
         spec = bayesian_from_game(base, holding_time=2)
         game = expand_matrix(spec)
         assert game.shape == (2, 2)
-        from jamgame.game import reward_attacker
+        from scalar_law_reference import reward_attacker
         for ai, a in enumerate(base.actions_attacker):
             for bi, b in enumerate(base.actions_sensor):
                 assert game.payoff_p1[ai, bi] == pytest.approx(
@@ -169,7 +169,7 @@ class TestSolveBayesian:
         base = single_type_game()
         spec = bayesian_from_game(base, holding_time=1)
         res = solve_bayesian(spec)
-        from jamgame.game import reward_attacker
+        from scalar_law_reference import reward_attacker
         matrix = np.array([[reward_attacker(base, 1, a, b)
                             for b in base.actions_sensor]
                            for a in base.actions_attacker])

@@ -164,11 +164,15 @@ class TestSolveAndLearn:
         assert "sup-norm gap to oracle" in capsys.readouterr().out
 
     def test_round_trip_policies(self, fast_config, tmp_path):
-        from jamgame.nashq import qtables_from_json, extract_policy
+        from jamgame.equilibria import ZERO_SUM_TOL
+        from jamgame.nashq import QTables, extract_policy
         out = str(tmp_path / "out")
         main(["learn", "--config", fast_config, "--out", out])
-        tables = qtables_from_json(open(os.path.join(out, "learn_qtables.json")).read())
-        pols = extract_policy(tables)
+        with open(os.path.join(out, "learn_qtables.json")) as fh:
+            doc = json.load(fh)
+        q1, q2 = np.array(doc["q1"]), np.array(doc["q2"])
+        assert (np.abs(q1 + q2) <= ZERO_SUM_TOL).all()
+        pols = extract_policy(QTables(q1=q1, visits=np.array(doc["visits"])))
         stored = json.loads(open(os.path.join(out, "learn_policies.json")).read())
         for p, s in zip(pols, stored["policies"]):
             assert p.strat_p1.probs.tolist() == s["attacker"]

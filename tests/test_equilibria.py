@@ -9,7 +9,7 @@ import lp_route_reference
 import numpy_reference
 import single_game_reference
 import two_lp_reference
-from single_game_reference import solve_zero_sum
+from single_game_reference import closed_form, solve_zero_sum, zero_sum_strategies
 from solver_probes import bits, count_lp_calls
 
 from jamgame import equilibria
@@ -20,13 +20,11 @@ from jamgame.equilibria import (
     PivotLimitError,
     StageGame,
     _bilinear,
-    _closed_form,
     _closed_forms,
     _result,
     _saddle,
     deviation_gap,
     lemke_howson,
-    _zero_sum_strategies,
     read_stage_game,
     solve_stage,
     stage_policies,
@@ -221,7 +219,7 @@ class TestFastStageSolver:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(payoff_rows())
     def test_scalar_closed_form_matches_numpy_formula(self, rows):
-        ours = _closed_form(rows, _saddle(rows))
+        ours = closed_form(rows)
         ref = numpy_reference.closed_form(np.array(rows))
         if ref is None:
             assert ours is None
@@ -239,7 +237,7 @@ class TestFastStageSolver:
                           st.floats(-10, 10, allow_subnormal=False))
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
         ij = _saddle(rows)
-        sol = _closed_form(rows, ij)
+        sol = closed_form(rows)
         x, y, closed = _closed_forms(np.array([rows]))
         assert closed[0] == (sol is not None)
         if sol is not None:
@@ -260,7 +258,7 @@ class TestFastStageSolver:
             if rng.random() < 0.3:
                 m = np.round(m)  # force ties / saddle points
             rows = m.tolist()
-            x, y = _zero_sum_strategies(rows, _saddle(rows))
+            x, y = zero_sum_strategies(rows)
             game = zero_sum(m)
             lp = zero_sum_value(game)
             assert deviation_gap(game, x, y) <= 1e-9
@@ -269,7 +267,7 @@ class TestFastStageSolver:
     def test_pure_saddle_scan_on_larger_matrices(self):
         m = [[5.0, 4.0, 6.0], [2.0, 1.0, 3.0]]
         # row 0 / column 1 is a saddle: min of row 0, max of column 1
-        x, y = _zero_sum_strategies(m, _saddle(m))
+        x, y = zero_sum_strategies(m)
         assert x == [1.0, 0.0]
         assert y == [0.0, 1.0, 0.0]
 
@@ -313,7 +311,7 @@ class TestStagePass:
         q[:6] = np.round(q[:6])  # saddles with tied rows and columns
         want_values = []
         for a in q.tolist():
-            x, y = _zero_sum_strategies(a, _saddle(a))
+            x, y = zero_sum_strategies(a)
             want_values.append(_bilinear(x, a, y))
         want_policies = [solve_zero_sum(zero_sum(a)) for a in q]
         with pytest.MonkeyPatch.context() as mp:
@@ -361,6 +359,55 @@ class TestStagePass:
         assert len(lps) == 1
         assert_same_result(res, lp_route_reference.zero_sum_value(zero_sum(tied[0])))
         assert res.deviation_gap <= CERT_TOL
+
+
+@st.composite
+def tied_tables(draw):
+    """A stack of small integer-payoff stage games and a nearby stack, one
+    step of at most 1 per entry away: ties and several optimal strategies
+    come up often."""
+    k, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = k * m * n
+    q = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    step = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+    q = np.array(q, dtype=float).reshape(k, m, n)
+    return q, q + np.array(step, dtype=float).reshape(k, m, n)
+
+
+def warm_and_cold(q, near):
+    """``stage_policies`` of ``q`` hinted by ``stage_values`` of ``near``, and unhinted."""
+    _, hint = stage_values(near)
+    return stage_policies(q, hint), stage_policies(q)
+
+
+# Two identical columns: the cold route mixes the first, a warm support
+# taken from the nearby table mixes the second, and both certify.
+TIED_COLUMNS = (np.array([[[-1.0, 1.0, 1.0], [1.0, -1.0, -1.0]]]),
+                np.array([[[-2.0, 2.0, 1.0], [0.0, 0.0, -2.0]]]))
+
+
+class TestWarmHintOnTiedOptima:
+    """A warm support hint against the cold route on games with several optima."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tied_tables())
+    def test_both_certify_with_one_value(self, tables):
+        for warm, cold in zip(*warm_and_cold(*tables)):
+            assert warm.deviation_gap <= CERT_TOL and cold.deviation_gap <= CERT_TOL
+            assert abs(warm.value_p1 - cold.value_p1) <= VALUE_TOL
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a certified warm support need not be the one the cold "
+                              "route polishes on, so tied optima can change the strategies")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example(TIED_COLUMNS)
+    @given(tied_tables())
+    def test_strategies_match_the_cold_route(self, tables):
+        for warm, cold in zip(*warm_and_cold(*tables)):
+            assert warm.deviation_gap <= CERT_TOL and cold.deviation_gap <= CERT_TOL
+            assert abs(warm.value_p1 - cold.value_p1) <= VALUE_TOL
+            assert np.array_equal(bits(warm.strat_p1.probs), bits(cold.strat_p1.probs))
+            assert np.array_equal(bits(warm.strat_p2.probs), bits(cold.strat_p2.probs))
 
 
 class TestSquareSupportSearch:

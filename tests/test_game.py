@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import numpy_reference
-from scalar_law_reference import state_index, transition_distribution
+from scalar_law_reference import reward_attacker, state_index, transition_distribution
 from solver_probes import bits
 from spec_strategies import game_specs
 
@@ -19,7 +19,6 @@ from jamgame.game import (
     GameState,
     fixed_policy,
     play,
-    reward_attacker,
     simulate_trajectory,
     write_trajectory_csv,
 )

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 
 import numpy_reference
 import per_state_vi_reference as vi_ref
-from scalar_law_reference import state_index, transition_distribution
+from scalar_law_reference import (
+    learning_rate,
+    reward_attacker,
+    state_index,
+    transition_distribution,
+)
 from solver_probes import bits, count_lp_calls
 from spec_strategies import PAPER_PLANT, game_specs
 
 from jamgame.channel import ChannelSpec
 from jamgame.config import parse_config
-from jamgame.equilibria import CERT_TOL
+from jamgame.equilibria import CERT_TOL, ZERO_SUM_TOL
 from jamgame.estimation import SystemModel
-from jamgame.game import GameSpec, reward_attacker, simulate_trajectory
+from jamgame.game import GameSpec, simulate_trajectory
 from jamgame.nashq import (
     LearnConfig,
     QTables,
@@ -24,7 +29,6 @@ from jamgame.nashq import (
     extract_policy,
     nash_q_learn,
     policy_arrays,
-    qtables_from_json,
     qtables_to_json,
     shapley_value_iteration,
     write_qtable_csv,
@@ -58,8 +62,8 @@ class TestLearnConfig:
     def test_learning_rate_schedule_exact(self):
         cfg = LearnConfig(episodes=1, seed=0)
         for n in range(1, 200):
-            assert cfg.learning_rate(n) == 10.0 / (15.0 + n)
-            assert 0.0 < cfg.learning_rate(n) <= 1.0
+            assert learning_rate(cfg, n) == 10.0 / (15.0 + n)
+            assert 0.0 < learning_rate(cfg, n) <= 1.0
 
     def test_rate_parameters_validated(self):
         with pytest.raises(ValueError):
@@ -69,7 +73,7 @@ class TestLearnConfig:
         # Harmonic-type decay: divergent sum, convergent square sum along
         # any visit subsequence.
         cfg = LearnConfig(episodes=1, seed=0)
-        rates = np.array([cfg.learning_rate(n) for n in range(1, 20000)])
+        rates = np.array([learning_rate(cfg, n) for n in range(1, 20000)])
         assert rates.sum() > 50
         assert (rates**2).sum() < 7
 
@@ -279,10 +283,9 @@ class TestNashQLearning:
         assert int(np.count_nonzero(res.tables.q1)) == 1
         # the touched cell carries lr * reward (zero bootstrap at step one)
         si, ai, bi = (int(v[0]) for v in np.nonzero(res.tables.visits))
-        from jamgame.game import reward_attacker
         r = reward_attacker(spec, spec.states[si].tau,
                             spec.actions_attacker[ai], spec.actions_sensor[bi])
-        lr = LearnConfig(episodes=1, seed=9).learning_rate(1)
+        lr = learning_rate(LearnConfig(episodes=1, seed=9), 1)
         assert res.tables.q1[si, ai, bi] == pytest.approx(lr * r, abs=1e-12)
 
     def test_zero_episodes_returns_initial_tables(self):
@@ -293,16 +296,24 @@ class TestNashQLearning:
 
     def test_curve_tracks_state(self):
         spec = small_spec()
-        res = nash_q_learn(spec, LearnConfig(episodes=50, seed=8), track_state=3)
+        res = nash_q_learn(spec, LearnConfig(episodes=50, seed=8),
+                           snapshot_episodes=(20, 50))
         assert res.curve.shape == (51, 4)
         assert (res.curve[0] == 0).all()
+        for ep in (20, 50):
+            assert res.curve[ep].tobytes() == res.snapshots[ep][0].ravel().tobytes()
 
-    @pytest.mark.parametrize("past_end", [False, True])
-    def test_track_state_outside_state_range_rejected(self, default_config, past_end):
-        spec = default_config.game
-        track = spec.n_states if past_end else -1
-        with pytest.raises(ValueError, match="track_state"):
-            nash_q_learn(spec, LearnConfig(episodes=1, seed=0), track_state=track)
+    @pytest.mark.parametrize("wanted", [(0, 3), (3, 6), (-1,), (0, 3, 9)])
+    def test_snapshot_outside_episode_budget_rejected(self, wanted):
+        with pytest.raises(ValueError, match="snapshot episodes"):
+            nash_q_learn(small_spec(), LearnConfig(episodes=5, seed=0),
+                         snapshot_episodes=wanted)
+
+    def test_snapshot_at_budget_edges_kept(self):
+        res = nash_q_learn(small_spec(), LearnConfig(episodes=5, seed=0),
+                           snapshot_episodes=(5, 1, 5))
+        assert sorted(res.snapshots) == [1, 5]
+        assert res.snapshots[5].tobytes() == res.tables.q1.tobytes()
 
 
 def lp_markov_spec():
@@ -328,16 +339,15 @@ class TestLearnerPinnedToNumpyLoop:
     def test_tables_curve_and_snapshots_identical(self, default_config, profile):
         if profile == "lp_markov_3x2":
             spec, cfg = lp_markov_spec(), LearnConfig(episodes=30, seed=5)
-            track, wanted = 5, (10, 30)
+            wanted = (10, 30)
         else:
             spec = default_config.game
             cfg = dataclasses.replace(default_config.learn, episodes=1600)
             if profile == "no_exploration":
                 cfg = dataclasses.replace(cfg, exploration=0.0)
-            track, wanted = 0, (400, 1600)
-        res = nash_q_learn(spec, cfg, track_state=track, snapshot_episodes=wanted)
-        ref = numpy_reference.nash_q_learn(spec, cfg, track_state=track,
-                                           snapshot_episodes=wanted)
+            wanted = (400, 1600)
+        res = nash_q_learn(spec, cfg, snapshot_episodes=wanted)
+        ref = numpy_reference.nash_q_learn(spec, cfg, snapshot_episodes=wanted)
         if profile == "lp_markov_3x2":
             assert ref.lp_calls > 0
         for ours, theirs in ((res.tables.q1, ref.q1), (res.tables.visits, ref.visits),
@@ -459,7 +469,6 @@ class TestEmpiricalReturn:
         assert ret[0] == pytest.approx(traj.discounted_return(spec.beta), rel=1e-12)
 
     def test_vanishing_discount_returns_one_step_reward(self):
-        from jamgame.game import reward_attacker
         spec = small_spec(beta=1e-7)
         res = shapley_value_iteration(spec)
         val = discounted_rollouts(spec, res.policies, horizon=1, n_rollouts=2000,
@@ -476,34 +485,27 @@ class TestEmpiricalReturn:
         assert val == pytest.approx(expect, abs=0.05)
 
 
+def read_qtables(text):
+    """The tables of a ``qtables_to_json`` document; its ``q2`` must mirror ``q1``."""
+    doc = json.loads(text)
+    q1, q2 = np.array(doc["q1"]), np.array(doc["q2"])
+    assert q2.shape == q1.shape and (np.abs(q1 + q2) <= ZERO_SUM_TOL).all()
+    return QTables(q1=q1, visits=np.array(doc["visits"], dtype=np.int64))
+
+
 class TestSerialization:
     def test_json_round_trip_exact(self):
         spec = small_spec()
         res = nash_q_learn(spec, LearnConfig(episodes=100, seed=13))
-        text = qtables_to_json(spec, res.tables)
-        back = qtables_from_json(text)
-        assert (back.q1 == res.tables.q1).all()
-        assert (back.q2 == res.tables.q2).all()
-        assert (back.visits == res.tables.visits).all()
-
-    @pytest.mark.parametrize("case", ["not_mirrored", "q2_shape", "visits_shape"])
-    def test_mismatched_tables_rejected(self, case):
-        spec = small_spec()
-        res = nash_q_learn(spec, LearnConfig(episodes=20, seed=13))
-        doc = json.loads(qtables_to_json(spec, res.tables))
-        if case == "not_mirrored":
-            doc["q2"][0][0][0] += 1e-6
-        elif case == "q2_shape":
-            doc["q2"] = doc["q2"][:-1]
-        else:
-            doc["visits"] = doc["visits"][:-1]
-        with pytest.raises(ValueError):
-            qtables_from_json(json.dumps(doc))
+        back = read_qtables(qtables_to_json(spec, res.tables))
+        assert back.q1.tobytes() == res.tables.q1.tobytes()
+        assert back.q2.tobytes() == res.tables.q2.tobytes()
+        assert back.visits.tobytes() == res.tables.visits.tobytes()
 
     def test_round_trip_policies_identical(self):
         spec = small_spec()
         res = nash_q_learn(spec, LearnConfig(episodes=100, seed=13))
-        back = qtables_from_json(qtables_to_json(spec, res.tables))
+        back = read_qtables(qtables_to_json(spec, res.tables))
         pol_a = extract_policy(res.tables)
         pol_b = extract_policy(back)
         for a, b in zip(pol_a, pol_b):

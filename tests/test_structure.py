@@ -1,6 +1,8 @@
 import copy
 import itertools
+import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import per_tuple_reference as ref
 from jamgame.channel import ChannelSpec
+from jamgame.cli import main
 from jamgame.config import parse_config
 from jamgame.estimation import SystemModel
 from jamgame.game import GameSpec
@@ -17,7 +20,6 @@ from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import (
     WITNESS_CAP,
     _increment_key,
-    _increment_keys,
     _increments,
     check_monotone_policy,
     check_q_supermodular,
@@ -32,6 +34,8 @@ from jamgame.structure import (
     structure_report,
 )
 from spec_strategies import game_specs
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def example2_spec():
@@ -60,7 +64,9 @@ class TestEpsilonMax:
         )
         rep = epsilon_max(spec)
         assert rep.epsilon_max == pytest.approx(1.0, abs=1e-12)
-        assert all(v == pytest.approx(1.0, abs=1e-12) for v in rep.epsilon_values.values())
+        assert rep.n_excluded == 0
+        # One gain pair: every ratio compares an increment with itself.
+        assert _increments(spec).shape[2:] == (1, 1)
 
     def test_identity_tuples_pin_max_at_least_one(self):
         rep = epsilon_max(example2_spec())
@@ -83,14 +89,18 @@ class TestEpsilonMax:
             expected[(gs, ga, gps, gpa)] = num / den
         rep = epsilon_max(spec)
         assert rep.epsilon_max == pytest.approx(max(expected.values()), abs=1e-12)
-        for key, val in expected.items():
-            assert rep.epsilon_values[key + (9.0, 3.0, 7.0, 2.0)] == pytest.approx(val, abs=1e-12)
+        # The increments the bound reduces over, gains ascending on each axis.
+        inc = _increments(spec)[0, 0]
+        k = spec.channel.gains.index
+        for (gs, ga, gps, gpa), val in expected.items():
+            got = inc[k(gs), k(ga)] / inc[k(gps), k(gpa)]
+            assert got == pytest.approx(val, abs=1e-12)
 
     def test_positive_increments_reported(self):
         rep = epsilon_max(example2_spec())
         assert rep.condition_holds
         assert rep.witness is None
-        assert not rep.excluded
+        assert rep.n_excluded == 0
 
     def test_requires_two_actions(self):
         spec = GameSpec(
@@ -102,6 +112,36 @@ class TestEpsilonMax:
         )
         with pytest.raises(ValueError):
             epsilon_max(spec)
+
+
+def saturated_default(actions_sensor):
+    """The shipped default profile with sensor powers loud enough to saturate arrivals."""
+    with open(os.path.join(CONFIG_DIR, "default.json")) as fh:
+        doc = json.load(fh)
+    doc["game"]["actions_sensor"] = actions_sensor
+    return doc
+
+
+class TestExcludedTuples:
+    """Tuples whose denominator increment vanished: counted, never in the max."""
+
+    def test_partly_saturated_channel(self):
+        spec = parse_config(saturated_default([200, 400])).game
+        rep = _assert_epsilon_matches_reference(spec)
+        assert rep.n_excluded == 4  # of 16 gain quadruples
+        assert not rep.condition_holds and rep.witness is not None
+        assert math.isfinite(rep.epsilon_max)
+
+    def test_fully_saturated_channel_fails_monotone(self, tmp_path, capsys):
+        doc = saturated_default([400, 800])
+        with pytest.raises(ValueError, match="all denominators vanished"):
+            epsilon_max(parse_config(doc).game)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["monotone", "--config", str(path), "--out", str(out)]) == 2
+        assert "all denominators vanished" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckSupermodular:
@@ -266,7 +306,7 @@ class TestIncrementKeys:
     def check_keys(spec):
         inc = _increments(spec)
         shape = inc.shape + inc.shape[2:]
-        keys = _increment_keys(spec)
+        keys = ref.increment_keys(spec)
         assert len(keys) == math.prod(shape)
         for k, key in enumerate(keys):
             assert repr(_increment_key(spec, np.unravel_index(k, shape))) == repr(key)
@@ -313,15 +353,21 @@ class TestPipelineReport:
         assert not ok1 and wit1 is not None
 
 
+def _assert_epsilon_matches_reference(spec):
+    """Max, premise, witness and excluded count against the per-tuple loop."""
+    _, want_max, want_holds, want_witness, want_excluded = ref.epsilon_max(spec)
+    rep = epsilon_max(spec)
+    assert repr(rep.epsilon_max) == repr(want_max)
+    assert (rep.condition_holds, rep.witness) == (want_holds, want_witness)
+    assert rep.n_excluded == len(want_excluded)
+    return rep
+
+
 def _assert_matches_per_tuple_loops(spec, values):
     """Ratio bound, continuation difference and reward residue against the loops."""
     values = np.asarray(values, dtype=float)
     if min(len(spec.actions_attacker), len(spec.actions_sensor)) >= 2:
-        want = ref.epsilon_max(spec)
-        rep = epsilon_max(spec)
-        assert repr(list(rep.epsilon_values.items())) == repr(list(want[0].items()))
-        assert repr(rep.epsilon_max) == repr(want[1])
-        assert (rep.condition_holds, rep.witness, rep.excluded) == want[2:]
+        _assert_epsilon_matches_reference(spec)
     got = continuation_difference_positive(spec, values)
     assert repr(got) == repr(ref.continuation_difference_positive(
         spec, gain_averaged_values(spec, values)))
