@@ -18,9 +18,11 @@ Bayesian variant (``bayesian.solve_bayesian``) is solved by it too.
 
 ``stage_values`` and ``stage_policies`` solve a whole table of zero-sum
 stage games ``q[s]`` in one pass: the saddle scan and the 2x2 formula
-run as array operations, and each remaining state first tries the
-support it had in the previous pass (a support hint), kept only when its
+run as array operations, and each remaining state takes the cold route.
+``stage_values`` alone takes a support hint: each remaining state first
+tries the support it had in the previous pass, kept only when its
 deviation gap is within ``CERT_TOL``, before the search and the LP.
+``stage_policies`` reads no hint, so a policy depends on its table alone.
 
 Each solver job has one implementation, written for a stack of games,
 and a single game is a one-row call of it: the certificate
@@ -485,7 +487,7 @@ def _unique_supports(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def _cold_results(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Certified ``_results`` of each zero-sum game ``(a[g], b[g])`` without a hint.
+    """Certified ``_results`` of each zero-sum game ``(a[g], b[g])`` from its payoffs alone.
 
     The square-support search (``_unique_supports``) first; each game
     whose equilibrium it does not prove unique (degenerate, tied or above
@@ -644,60 +646,45 @@ def _closed_forms(q: np.ndarray) -> tuple:
     return x, y, closed
 
 
-def _warm_or_cold(q: np.ndarray, rows: np.ndarray, hint) -> tuple:
-    """Certified ``_results`` of the states ``rows``, which the closed form left:
-    the warm support solve, else the cold route.
-
-    Each state first tries the support solve on its ``hint`` supports
-    (boolean masks, one row per state of ``q``), kept when the deviation
-    gap is within ``CERT_TOL``; the rest, or all without a hint, take
-    ``_cold_results``. When the cold route would polish on the same
-    supports, the two routes give the same bits.
-    """
-    a = q[rows]
-    g, m, n = a.shape
-    out = (np.zeros((g, m)), np.zeros((g, n)), np.zeros(g), np.zeros(g), np.zeros(g))
-    todo = np.ones(g, dtype=bool)
-    if hint is not None:
-        for pick, x, y in _square_supports(a, hint[0][rows], hint[1][rows]):
-            res = _results(a[pick], 0.0 - a[pick], x, y)
-            good = res[4] <= CERT_TOL
-            for o, r in zip(out, res):
-                o[pick[good]] = r[good]
-            todo[pick[good]] = False
-    cold = np.flatnonzero(todo)
-    if cold.size:
-        for o, r in zip(out, _cold_results(a[cold], 0.0 - a[cold])):
-            o[cold] = r
-    return out
-
-
 def stage_values(q: np.ndarray, hint=None) -> tuple:
     """Value of every zero-sum stage game with row payoffs ``q[s]``, in one pass.
 
     ``values[s]`` is ``x' q[s] y`` summed in ``_bilinear``'s order, for
     the strategies the learner takes: a pure saddle's one-hot pair, else
-    ``_zero_sum_strategies`` (the 2x2 closed form), else the certified
-    support solve on the ``hint`` supports, else the cold route (the
-    square-support search, else the LP). Returns
-    ``(values, supports)``; ``supports`` (boolean masks of each state's
-    row and column support) is the ``hint`` for the next pass on a
-    nearby table, such as the next value-iteration sweep.
+    ``_zero_sum_strategies`` (the 2x2 closed form), else the cold route
+    (the square-support search, else the LP). Returns ``(values,
+    supports)``; ``supports`` (boolean masks of each state's row and
+    column support) is the ``hint`` for the next pass on a nearby table,
+    such as the next value-iteration sweep. With a hint, each state the
+    closed form leaves first tries the support solve on its hinted
+    supports, kept when the deviation gap is within ``CERT_TOL``; only
+    the rest take the cold route. When the cold route would polish on
+    the same supports, the two routes give the same bits.
     """
     x, y, closed = _closed_forms(q)
     rest = np.flatnonzero(~closed)
+    cold = np.ones(rest.size, dtype=bool)
+    if hint is not None:
+        a = q[rest]
+        for pick, xs, ys in _square_supports(a, hint[0][rest], hint[1][rest]):
+            xs, ys, _, _, gap = _results(a[pick], 0.0 - a[pick], xs, ys)
+            good = gap <= CERT_TOL
+            x[rest[pick[good]]], y[rest[pick[good]]] = xs[good], ys[good]
+            cold[pick[good]] = False
+    rest = rest[cold]
     if rest.size:
-        x[rest], y[rest], *_ = _warm_or_cold(q, rest, hint)
+        x[rest], y[rest], *_ = _cold_results(q[rest], 0.0 - q[rest])
     return _bilinear_rows(x, q, y), (x > SUPPORT_TOL, y > SUPPORT_TOL)
 
 
-def stage_policies(q: np.ndarray, hint=None) -> list:
+def stage_policies(q: np.ndarray) -> list:
     """Certified equilibrium of every zero-sum stage game ``(q[s], 0.0 - q[s])``.
 
     The closed form where it certifies, in one pass: the closed-form
     states are normalized, valued and certified as arrays. A closed form
     that fails certification, and every state the closed form leaves,
-    goes through the ``hint`` support solve, else the cold route.
+    takes the cold route, all in one call. No support hint is read, so
+    the policies depend on ``q`` alone.
     """
     x, y, closed = _closed_forms(q)
     cf = np.flatnonzero(closed)
@@ -708,8 +695,8 @@ def stage_policies(q: np.ndarray, hint=None) -> list:
     for o, r in zip(out, res):
         o[cf[kept]] = r[kept]
     if rest.size:
-        for o, r_rest in zip(out, _warm_or_cold(q, rest, hint)):
-            o[rest] = r_rest
+        for o, r in zip(out, _cold_results(q[rest], 0.0 - q[rest])):
+            o[rest] = r
     return _equilibria(out)
 
 

@@ -27,9 +27,10 @@ the equilibrium unique, else the LP), and ``_bilinear``.
 A value-iteration sweep solves every state in one ``stage_values`` pass:
 the closed form as array operations, then for each other state the
 support it had one sweep earlier, kept only if its deviation gap is
-within ``CERT_TOL``, else the cold route. ``extract_policy`` certifies
-every state in one ``stage_policies`` pass, which the oracle hints with
-its final sweep's supports.
+within ``CERT_TOL``, else the cold route. That warm start is value
+iteration's alone: across sweeps only values are carried. ``extract_policy``
+certifies every state in one ``stage_policies`` pass, which takes no
+hint, so the oracle's policies depend on its final table alone.
 
 Tables are written as JSON (``qtables_to_json``) and CSV
 (``write_qtable_csv``); no command reads a table file back.
@@ -157,9 +158,10 @@ def nash_q_learn(
     takes its CDFs from a precomputed ``na x nb`` table and its value as
     ``0.0 + Q1[s][i][j]``, the bits ``_bilinear`` gives on the one-hot pair.
 
-    ``curve`` holds state 0's Q1 row after every episode. ``snapshot_episodes`` requests copies of Q1 after the given
-    episode counts (used to measure convergence against the oracle); a
-    count outside ``[1, episodes]`` raises ``ValueError``.
+    ``curve`` holds state 0's Q1 row after every episode.
+    ``snapshot_episodes`` requests copies of Q1 after the given episode
+    counts (used to measure convergence against the oracle); a count
+    outside ``[1, episodes]`` raises ``ValueError``.
     """
     wanted = sorted(set(int(e) for e in snapshot_episodes))
     outside = [e for e in wanted if not 1 <= e <= cfg.episodes]
@@ -249,7 +251,7 @@ def shapley_value_iteration(
     pass: saddle and 2x2 states as arrays, every other state by the
     support it had one sweep earlier, kept only if its deviation gap is
     within ``CERT_TOL``, else by the cold route. The policies are
-    extracted with the final sweep's supports as the hint.
+    extracted from the final table alone (``extract_policy``).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -272,7 +274,7 @@ def shapley_value_iteration(
         raise RuntimeError(f"value iteration did not reach tol={tol} in {max_sweeps} sweeps")
     tables = QTables(q1=q1, visits=np.zeros_like(q1, dtype=np.int64))
     return ValueIterationResult(
-        tables=tables, policies=extract_policy(tables, hint), deltas=tuple(deltas), sweeps=sweep
+        tables=tables, policies=extract_policy(tables), deltas=tuple(deltas), sweeps=sweep
     )
 
 
@@ -280,14 +282,13 @@ def shapley_value_iteration(
 # Policy extraction and rollout evaluation
 # ---------------------------------------------------------------------------
 
-def extract_policy(tables: QTables, hint=None) -> list:
+def extract_policy(tables: QTables) -> list:
     """Per-state certified equilibrium of the stage game (Q1[s], Q2[s]).
 
-    ``hint`` is the supports ``equilibria.stage_values`` returned for a
-    nearby table; states off the closed form try them before the cold
-    route.
+    One ``equilibria.stage_policies`` pass: the closed form where it
+    certifies, else the cold route, so the policies depend on ``Q1`` alone.
     """
-    return stage_policies(tables.q1, hint)
+    return stage_policies(tables.q1)
 
 
 def policy_arrays(policies) -> tuple:

@@ -19,7 +19,7 @@ from spec_strategies import PAPER_PLANT, game_specs
 
 from jamgame.channel import ChannelSpec
 from jamgame.config import parse_config
-from jamgame.equilibria import CERT_TOL, ZERO_SUM_TOL
+from jamgame.equilibria import CERT_TOL, VALUE_TOL, ZERO_SUM_TOL, stage_policies
 from jamgame.estimation import SystemModel
 from jamgame.game import GameSpec, simulate_trajectory
 from jamgame.nashq import (
@@ -160,29 +160,92 @@ class TestValueIterationOracle:
         assert all(p.deviation_gap <= CERT_TOL for p in res.policies)
 
 
-def assert_matches_per_state_loop(spec, res):
-    """``res`` (the batched oracle of ``spec``) equals the per-state loop's, bit for bit."""
+def assert_same_policies(got, want):
+    """Two policy lists with the same strategies, values and gaps, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g.strat_p1.probs), bits(w.strat_p1.probs))
+        assert np.array_equal(bits(g.strat_p2.probs), bits(w.strat_p2.probs))
+        assert np.array_equal(bits([g.value_p1, g.value_p2, g.deviation_gap]),
+                              bits([w.value_p1, w.value_p2, w.deviation_gap]))
+
+
+def assert_matches_per_state_loop(spec, res, check_deltas=True):
+    """``res`` (the batched oracle of ``spec``) equals the per-state loop's, bit for bit.
+
+    ``check_deltas=False`` leaves out the sweep deltas, for games where the
+    warm start rounds a value of a middle sweep an ulp away from the loop's.
+    """
     tables, policies, deltas, sweeps = vi_ref.shapley_value_iteration(spec)
     assert res.sweeps == sweeps
-    assert np.array_equal(bits(res.deltas), bits(deltas))
+    if check_deltas:
+        assert np.array_equal(bits(res.deltas), bits(deltas))
     assert np.array_equal(bits(res.tables.q1), bits(tables.q1))
-    assert len(res.policies) == len(policies)
-    for got, want in zip(res.policies, policies):
-        assert np.array_equal(bits(got.strat_p1.probs), bits(want.strat_p1.probs))
-        assert np.array_equal(bits(got.strat_p2.probs), bits(want.strat_p2.probs))
-        assert np.array_equal(bits([got.value_p1, got.value_p2, got.deviation_gap]),
-                              bits([want.value_p1, want.value_p2, want.deviation_gap]))
+    assert_same_policies(res.policies, policies)
+
+
+def tied_spec(reward):
+    """A 12-state markov spec with 3x3 stage games, every state's reward ``reward``."""
+    ch = ChannelSpec(gains=(0.6, 0.8), kernel=[[0.7, 0.3], [0.4, 0.6]], sigma2=0.5, alpha=1.0)
+    spec = small_spec(actions_attacker=(1.0, 2.0, 3.0), actions_sensor=(2.0, 3.0, 4.0),
+                      channel=ch, gain_mode="markov")
+    reward = np.broadcast_to(np.array(reward, dtype=float), spec.compiled.reward.shape)
+    return with_reward(spec, reward.copy())
 
 
 class TestBatchedSweepMatchesPerStateLoop:
     """One stage pass per sweep, warm supports and array extraction reproduce the
     per-state loop bit for bit: tables, deltas, sweeps and every policy. Random
-    games are checked in ``test_invariants_on_random_games``."""
+    games are checked in ``test_invariants_on_random_games``; on tied optima
+    the warm start can round a value an ulp away (``TestWarmStartRounding``)."""
 
     @pytest.mark.parametrize("profile", ["default", "monotone", "scaled"])
     def test_profiles(self, profile, request):
         spec = request.getfixturevalue(f"{profile}_config").game
         assert_matches_per_state_loop(spec, request.getfixturevalue(f"{profile}_oracle"))
+
+    # Stage games with several optimal strategies: the final sweep's supports
+    # certify at a state, but are not the ones the cold route polishes on.
+    # Extraction takes no hint, so the policies follow the table alone. The
+    # final tables agree bit for bit; the warm start rounds some middle
+    # sweeps' deltas an ulp away (see TestWarmStartRounding).
+    @pytest.mark.parametrize("reward", [
+        [[1, 1, -2], [0, -1, -2], [2, 1, 2]],
+        [[0, 2, 2], [1, -2, 2], [1, 2, 2]],
+    ], ids=["row-mix", "column-mix"])
+    def test_tied_optima(self, reward):
+        spec = tied_spec(reward)
+        assert_matches_per_state_loop(spec, shapley_value_iteration(spec), check_deltas=False)
+
+
+# The warm start solves a state on the supports of the sweep before; the
+# cold route polishes on the supports it finds itself. Both certify, but
+# here they round a value differently, and the tables drift apart by an ulp.
+WARM_ROUNDING = [[2, -1, 0], [0, -1, 0], [2, 2, -2]]
+
+
+@pytest.fixture(scope="module")
+def warm_rounding():
+    """The batched oracle and the per-state loop's table on ``WARM_ROUNDING``."""
+    spec = tied_spec(WARM_ROUNDING)
+    return shapley_value_iteration(spec), vi_ref.shapley_value_iteration(spec)[0]
+
+
+class TestWarmStartRounding:
+    """Value iteration's warm start against the per-state (cold) loop."""
+
+    def test_tables_agree_within_tolerance(self, warm_rounding):
+        res, tables = warm_rounding
+        assert np.abs(res.tables.q1 - tables.q1).max() <= VALUE_TOL
+        assert all(p.deviation_gap <= CERT_TOL for p in res.policies)
+        assert_same_policies(res.policies, stage_policies(res.tables.q1))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the warm start and the cold route round a tied "
+                              "state's value differently")
+    def test_tables_match_the_per_state_loop_bit_for_bit(self, warm_rounding):
+        res, tables = warm_rounding
+        assert np.array_equal(bits(res.tables.q1), bits(tables.q1))
 
 
 class TestArgumentValidation:
