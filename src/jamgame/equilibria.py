@@ -6,8 +6,8 @@ Three routes are provided and cross-checked in the test suite:
   polytopes, with lexicographic tie-breaking and a pivot budget;
 * ``zero_sum_value`` -- the square-support search, which proves a unique
   equilibrium on a square support, else one maximin linear program
-  (HiGHS) whose duals are the column strategy; either way polished by
-  the support solve;
+  (HiGHS, loaded on the first LP) whose duals are the column strategy;
+  either way polished by the support solve;
 * ``support_enumeration`` -- exhaustive support pairs for desk-scale
   games, used as the independent oracle.
 
@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "StageGame",
@@ -321,6 +320,12 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
 # Support solve and zero-sum linear programming
 # ---------------------------------------------------------------------------
 
+# scipy's ``linprog``, imported by the first LP: most commands never reach
+# one, and importing scipy.optimize would dominate their start-up. Tests
+# replace it to count LP calls.
+linprog = None
+
+
 def _maximin_lp(blocks: np.ndarray) -> tuple:
     """Per-type optimal mixes ``(x, y)`` of a zero-sum game with typed players.
 
@@ -330,6 +335,7 @@ def _maximin_lp(blocks: np.ndarray) -> tuple:
     ``x[i]`` per row type. By LP duality the duals of its ``(j, b)`` rows
     are the column player's mixes ``y[j]``.
     """
+    global linprog
     ki, kj, m, n = blocks.shape
     nx = ki * m
     # Variables (x[0]..x[ki-1], w_0..w_{kj-1}): maximize sum_j w_j s.t.
@@ -342,6 +348,8 @@ def _maximin_lp(blocks: np.ndarray) -> tuple:
     b_ub = np.zeros(kj * n)
     a_eq = np.hstack([np.kron(np.eye(ki), np.ones((1, m))), np.zeros((ki, kj))])
     bounds = [(0, None)] * nx + [(None, None)] * kj
+    if linprog is None:
+        from scipy.optimize import linprog
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(ki), bounds=bounds,
         method="highs", options=_LP_OPTIONS,

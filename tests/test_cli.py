@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from solver_probes import count_lp_calls
 from jamgame.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 @pytest.fixture()
@@ -514,6 +517,95 @@ class TestOutputStep:
                    "sup-norm gap to oracle"]
         assert len(lines) == len(summary) + len(names)
         assert all(line.startswith(want) for line, want in zip(lines, summary))
+
+
+# Run in a fresh interpreter: the shipped commands in order, recording after
+# each whether scipy has been imported. The commands that need no LP come
+# first; ``bayes`` and the degenerate matrix file, which do, come last.
+_STARTUP_SCRIPT = r"""
+import contextlib, io, json, sys
+
+configs, out = sys.argv[1], sys.argv[2]
+import jamgame
+from jamgame import cli
+from jamgame.config import load_config
+
+steps = [["import", 0, "scipy" in sys.modules]]
+for name in ("default", "monotone"):
+    load_config(f"{configs}/{name}.json")
+    steps.append(["load_config " + name, 0, "scipy" in sys.modules])
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    steps.append([" ".join(argv), code, "scipy" in sys.modules])
+    return buf.getvalue()
+
+
+for name in ("default", "monotone"):
+    cfg, dest = f"{configs}/{name}.json", f"{out}/{name}"
+    run(["steady", "--config", cfg])
+    run(["solve", "--config", cfg, "--out", dest])
+    run(["learn", "--config", cfg, "--out", dest, "--episodes", "200"])
+    run(["monotone", "--config", cfg, "--out", dest])
+    run(["simulate", "--config", cfg, "--out", dest,
+         "--policies", f"{dest}/oracle_policies.json"])
+for name in ("stage_game_demo.txt", "stage_game_bimatrix.txt"):
+    run(["equilibrium", f"{configs}/{name}"])
+n_free = len(steps)
+bayes = run(["bayes", "--config", f"{configs}/default.json", "--out", f"{out}/bayes"])
+degenerate = run(["equilibrium", f"{configs}/stage_game_degenerate.txt"])
+print(json.dumps({"steps": steps, "n_free": n_free, "bayes": bayes,
+                  "degenerate": degenerate}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    """``_STARTUP_SCRIPT``'s record and its output directory.
+
+    It must be a subprocess: pytest's ``filterwarnings =
+    error::scipy.optimize.OptimizeWarning`` imports scipy.optimize into the
+    test process, so no in-process test can see the import that
+    ``equilibria`` defers to the first LP.
+    """
+    out = tmp_path_factory.mktemp("fresh")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, os.path.abspath(CONFIG_DIR), str(out)],
+        capture_output=True, text=True, env=env, cwd=out, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1]), out
+
+
+class TestStartup:
+    def test_scipy_loads_on_the_first_lp(self, fresh_interpreter):
+        # Importing the package, parsing both shipped configs and every
+        # command that reaches no LP leave scipy unimported; ``bayes`` (its
+        # per-type LP always runs) and the degenerate matrix load it.
+        record, _ = fresh_interpreter
+        steps, n_free = record["steps"], record["n_free"]
+        assert len(steps) == n_free + 2
+        assert [step for step in steps if step[1] != 0] == []
+        assert [step[0] for step in steps[:n_free] if step[2]] == []
+        assert steps[n_free][0].startswith("bayes") and steps[n_free][2]
+        assert steps[-1][0].startswith("equilibrium") and steps[-1][2]
+
+    def test_lazy_import_gives_the_same_bits(self, fresh_interpreter, tmp_path, capsys):
+        # The fresh interpreter's first LP ran through the import; here
+        # scipy is already loaded. Outputs and printed lines match byte for byte.
+        record, lazy_root = fresh_interpreter
+        lazy, eager = str(lazy_root / "bayes"), str(tmp_path / "bayes")
+        assert main(["bayes", "--config", os.path.join(CONFIG_DIR, "default.json"),
+                     "--out", eager]) == 0
+        assert capsys.readouterr().out.replace(eager, lazy) == record["bayes"]
+        assert read_tree(eager) == read_tree(lazy)
+        assert sorted(read_tree(eager)) == ["bayes_attacker.csv", "bayes_sensor.csv"]
+        assert main(["equilibrium", os.path.join(CONFIG_DIR, "stage_game_degenerate.txt")]) == 0
+        assert capsys.readouterr().out == record["degenerate"]
 
 
 class TestDeterminism:
