@@ -532,27 +532,53 @@ def zero_sum_value(game: StageGame) -> EquilibriumResult:
     return _equilibria(_cold_results(game.payoff_p1[None], game.payoff_p2[None]))[0]
 
 
-def _saddle(a):
-    """Indices ``(i, j)`` of a pure saddle point of the zero-sum game with row
-    payoffs ``a`` (rows of floats), or None.
+def _saddle(row_min, col_max):
+    """Indices ``(i, j)`` of a pure saddle point of the zero-sum game whose
+    row payoffs ``a`` have row minima ``row_min`` and column maxima
+    ``col_max`` (lists of floats), or None.
 
+    For a table ``a`` (rows of floats) those are ``list(map(min, a))`` and
+    ``list(map(max, zip(*a)))``; the learner keeps them per state instead.
     Row ``i`` maximizes the row minima and column ``j`` minimizes the column
     maxima; a tie breaks to the lowest index.
     """
-    row_min = list(map(min, a))
-    col_max = list(map(max, zip(*a)))
     lower, upper = max(row_min), min(col_max)
     if lower == upper:
         return row_min.index(lower), col_max.index(upper)
     return None
 
 
+def _saddle_kept(row_min, col_max, ij, v, ai, bi) -> bool:
+    """Whether a pure saddle ``ij = (i, j)`` of value ``v`` still stands after
+    an update of cell ``(ai, bi)``: ``_saddle(row_min, col_max)`` is still
+    ``ij`` and ``a[i][j]`` still equals ``v``.
+
+    ``row_min`` and ``col_max`` are the lists after the update, which
+    changed only ``row_min[ai]`` and ``col_max[bi]``; before it, ``_saddle``
+    gave ``ij`` and ``a[i][j] == v``.
+    """
+    # Why this is exact. For v == a[i][j], _saddle returns (i, j) if and
+    # only if row_min[i] == v == col_max[j], every earlier row has a minimum
+    # below v and every earlier column a maximum above v. For the converse,
+    # max(row_min) >= v >= min(col_max), and the lower value never exceeds
+    # the upper (row_min[k] <= a[k][l] <= col_max[l]), so both equal v; the
+    # first-index rule then gives the strict inequalities. Before the update
+    # these held, and only row_min[ai] and col_max[bi] moved, so only i, j,
+    # ai and bi need a look. An update of (i, j) itself left a[i][j] == v
+    # whenever row_min[i] == v == col_max[j], since those bound it from
+    # both sides; then 0.0 + a[i][j] keeps its bits too.
+    i, j = ij
+    return (row_min[i] == v and col_max[j] == v
+            and (ai >= i or row_min[ai] < v) and (bi >= j or col_max[bi] > v))
+
+
 def _closed_form(a):
     """The 2x2 mixing weights (x, y) of the zero-sum game with row payoffs
     ``a`` (rows of floats), or None.
 
-    Applies to 2x2 games without a pure saddle point (``_saddle(a)`` is
-    None), whose weights lie in [0, 1]; any other game gives None.
+    Applies to 2x2 games without a pure saddle point (``_saddle`` of the
+    row minima and column maxima of ``a`` is None), whose weights lie in
+    [0, 1]; any other game gives None.
     """
     if len(a) == len(a[0]) == 2:
         (p11, p12), (p21, p22) = a
@@ -571,8 +597,9 @@ def _zero_sum_strategies(a) -> tuple:
 
     The 2x2 closed form when it applies, uncertified, else the certified
     strategies of the cold route (``_cold_results`` on one row). The
-    learner scans each stage once and takes a pure saddle's exploring
-    CDFs from a table, so it calls this only on the stages without one;
+    learner scans each stage's kept row minima and column maxima first and
+    takes a pure saddle's exploring CDFs from a table, so it calls this
+    only on the stages without one;
     ``stage_values`` is its form for a table.
     """
     sol = _closed_form(a)
@@ -619,10 +646,11 @@ def _closed_forms(q: np.ndarray) -> tuple:
     """``_saddle``'s one-hot pair, else ``_closed_form``, of every ``q[s]`` as
     array operations: ``(x, y, closed)``.
 
-    Pure saddles by the scan (``argmax``/``argmin`` keep the first index
-    of a tie, as ``list.index`` does), then the other 2x2 games by the
-    mixing formula. ``closed`` masks the states either one solved; the other
-    rows of ``x`` and ``y`` are zero.
+    Pure saddles by the scan on each state's row minima and column maxima,
+    computed here as folds where the learner keeps them (``argmax`` and
+    ``argmin`` keep the first index of a tie, as ``list.index`` does), then
+    the other 2x2 games by the mixing formula. ``closed`` masks the states
+    either one solved; the other rows of ``x`` and ``y`` are zero.
     """
     if not np.isfinite(q).all():
         raise ValueError("payoff matrices must be finite")

@@ -16,13 +16,16 @@ The oracle iterates the same fixed point directly from the game's
 compiled, factored transition law (a beta-contraction in the sup norm),
 giving the reference table the learner is checked against.
 
-Stage games are solved by ``equilibria``. The learner solves one state
-per step and caches its exploring action CDFs with its stage value until
-the state's table changes. The saddle scan (``_saddle``) comes first: a
-pure saddle's CDFs come from a table built once per run, and its value
+Stage games are solved by ``equilibria``. The learner keeps each
+state's row minima and column maxima, refreshing one of each per
+update, and caches a state's exploring action CDFs with its stage value.
+The saddle scan (``_saddle``) on the kept minima and maxima comes first:
+a pure saddle's CDFs come from a table built once per run, and its value
 is the table entry itself. Any other stage takes the 2x2 mixing formula
 or the cold route's strategies (the square-support search when it proves
-the equilibrium unique, else the LP), and ``_bilinear``.
+the equilibrium unique, else the LP), and ``_bilinear``. An update of a
+state's table clears its entry, unless the entry is a pure saddle that
+the update provably leaves in place (``_saddle_kept``).
 
 A value-iteration sweep solves every state in one ``stage_values`` pass:
 the closed form as array operations, then for each other state the
@@ -48,6 +51,7 @@ import numpy as np
 from .equilibria import (
     _bilinear,
     _saddle,
+    _saddle_kept,
     _zero_sum_strategies,
     stage_policies,
     stage_values,
@@ -152,11 +156,22 @@ def nash_q_learn(
     blended with a uniform exploration mix, the transition is sampled
     from the analytic model, and only the visited cell is updated.
 
-    Each state's cache entry is ``(exploring CDFs, stage value)``, filled
-    on first use and cleared by every update of the state's table, so the
-    target reads the next state's value from it. A pure saddle ``(i, j)``
-    takes its CDFs from a precomputed ``na x nb`` table and its value as
-    ``0.0 + Q1[s][i][j]``, the bits ``_bilinear`` gives on the one-hot pair.
+    The loop keeps each state's row minima and column maxima: an update
+    of cell ``(a, b)`` refreshes the minimum of row ``a`` and the maximum
+    of column ``b``, read from a transposed copy of the table, and the
+    saddle scan ``_saddle`` reads the kept lists instead of the table.
+    They hold the bits ``map(min, ...)`` and ``map(max, ...)`` would.
+
+    Each state's cache entry is ``(exploring CDFs, stage value, saddle)``,
+    filled on first use, so the target reads the next state's value from
+    it. A pure saddle ``(i, j)`` takes its CDFs from a precomputed
+    ``na x nb`` table and its value as ``0.0 + Q1[s][i][j]``, the bits
+    ``_bilinear`` gives on the one-hot pair. An update of the state's table
+    clears a mixed entry. It keeps a pure one exactly when the scan would
+    return the same saddle of the same value (``_saddle_kept``): the stage
+    value is still the minimum of row ``i`` and the maximum of column
+    ``j``, which pins ``Q1[s][i][j]`` to it, and the updated row and column
+    do not now tie it at a lower index.
 
     ``curve`` holds state 0's Q1 row after every episode.
     ``snapshot_episodes`` requests copies of Q1 after the given episode
@@ -185,21 +200,28 @@ def nash_q_learn(
     cdfs_b = [explore_cdf([float(k == j) for k in range(nb)], mix_b) for j in range(nb)]
     saddle_cdfs = [[(ca, cb) for cb in cdfs_b] for ca in cdfs_a]
 
-    # Per-state (exploring players' action CDFs, stage value), invalidated
-    # when the state's cell changes.
+    # Each state's row minima and column maxima, refreshed at the updated
+    # cell's row and column; a transposed copy of each table holds its
+    # columns as lists.
+    q1t = [[list(col) for col in zip(*a)] for a in q1]
+    row_min = [list(map(min, a)) for a in q1]
+    col_max = [list(map(max, at)) for at in q1t]
+
+    # Per-state (exploring players' action CDFs, stage value, saddle), where
+    # saddle is a pure saddle's (i, j) and None for a mixed stage.
     cache = [None] * ns
 
     def stage(si):
         a = q1[si]
-        ij = _saddle(a)
+        ij = _saddle(row_min[si], col_max[si])
         if ij is not None:
             # 0.0 + a[i][j] is _bilinear on the one-hot pair, bit for bit.
             i, j = ij
-            cache[si] = entry = (saddle_cdfs[i][j], 0.0 + a[i][j])
+            cache[si] = entry = (saddle_cdfs[i][j], 0.0 + a[i][j], ij)
         else:
             pi1, pi2 = _zero_sum_strategies(a)
             cache[si] = entry = ((explore_cdf(pi1, mix_a), explore_cdf(pi2, mix_b)),
-                                 _bilinear(pi1, a, pi2))
+                                 _bilinear(pi1, a, pi2), None)
         return entry
 
     def explore(si):
@@ -217,8 +239,18 @@ def nash_q_learn(
             visits[si][ai][bi] = count
             lr = lr_num / (lr_off + count)
             row = q1[si][ai]
-            row[bi] = (1.0 - lr) * row[bi] + lr * target
-            cache[si] = None
+            row[bi] = x = (1.0 - lr) * row[bi] + lr * target
+            col = q1t[si][bi]
+            col[ai] = x
+            rm = row_min[si]
+            rm[ai] = min(row)
+            cm = col_max[si]
+            cm[bi] = max(col)
+            entry = cache[si]
+            # The stage value 0.0 + a[i][j] compares as a[i][j] itself.
+            if entry is not None and (entry[2] is None
+                                      or not _saddle_kept(rm, cm, entry[2], entry[1], ai, bi)):
+                cache[si] = None
         curve[ep + 1] = q1[0]
         if ep + 1 in wanted:
             snapshots[ep + 1] = np.array(q1)

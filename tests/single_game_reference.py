@@ -9,7 +9,9 @@ nested loop, and ``solve_zero_sum`` was a certified zero-sum entry point
 The scalar closed form once returned a pure saddle's one-hot pair
 itself; the learner reads that pair from a table instead, and
 ``closed_form``/``zero_sum_strategies`` here put it back in front of
-``_closed_form``/``_zero_sum_strategies``. The tests check that the
+``_closed_form``/``_zero_sum_strategies``. The saddle scan once read the
+table itself; the learner keeps each state's row minima and column
+maxima instead, and ``saddle`` computes them from the table first. The tests check that the
 library reproduces them bit for bit.
 """
 
@@ -37,15 +39,20 @@ def _one_hot(a, ij):
     return x, y
 
 
+def saddle(a):
+    """``_saddle`` of the row minima and column maxima of ``a`` (rows of floats)."""
+    return _saddle(list(map(min, a)), list(map(max, zip(*a))))
+
+
 def closed_form(a):
-    """The one-hot pair at the pure saddle ``_saddle(a)``, else ``_closed_form(a)``."""
-    ij = _saddle(a)
+    """The one-hot pair at the pure saddle ``saddle(a)``, else ``_closed_form(a)``."""
+    ij = saddle(a)
     return _closed_form(a) if ij is None else _one_hot(a, ij)
 
 
 def zero_sum_strategies(a):
-    """The one-hot pair at the pure saddle ``_saddle(a)``, else ``_zero_sum_strategies(a)``."""
-    ij = _saddle(a)
+    """The one-hot pair at the pure saddle ``saddle(a)``, else ``_zero_sum_strategies(a)``."""
+    ij = saddle(a)
     return _zero_sum_strategies(a) if ij is None else _one_hot(a, ij)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -23,6 +23,7 @@ from jamgame.equilibria import (
     _closed_forms,
     _result,
     _saddle,
+    _saddle_kept,
     deviation_gap,
     lemke_howson,
     read_stage_game,
@@ -32,6 +33,10 @@ from jamgame.equilibria import (
     support_enumeration,
     zero_sum_value,
 )
+
+# Payoff entries from a few tied values, signed zeros among them, or any float.
+TIED_OR_ANY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                        st.floats(-10, 10, allow_subnormal=False))
 
 MATCHING_PENNIES = StageGame(payoff_p1=[[1, -1], [-1, 1]], payoff_p2=[[-1, 1], [1, -1]])
 BATTLE = StageGame(payoff_p1=[[2, 0], [0, 1]], payoff_p2=[[1, 0], [0, 2]])
@@ -232,11 +237,8 @@ class TestFastStageSolver:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_saddle_scan_matches_closed_forms_and_value(self, m, n, data):
-        # Entries from a few tied values, signed zeros among them, or any float.
-        entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
-                          st.floats(-10, 10, allow_subnormal=False))
-        rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
-        ij = _saddle(rows)
+        rows = [[data.draw(TIED_OR_ANY) for _ in range(n)] for _ in range(m)]
+        ij = _saddle(list(map(min, rows)), list(map(max, zip(*rows))))
         sol = closed_form(rows)
         x, y, closed = _closed_forms(np.array([rows]))
         assert closed[0] == (sol is not None)
@@ -250,6 +252,32 @@ class TestFastStageSolver:
         want = numpy_reference.closed_form(np.array(rows))
         assert (int(np.argmax(want[0])), int(np.argmax(want[1]))) == ij
         assert np.array_equal(bits([0.0 + rows[i][j]]), bits([_bilinear(sol[0], rows, sol[1])]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_kept_saddle_matches_a_fresh_scan(self, m, n, data):
+        rows = [[data.draw(TIED_OR_ANY) for _ in range(n)] for _ in range(m)]
+        cols = [list(col) for col in zip(*rows)]
+        row_min, col_max = list(map(min, rows)), list(map(max, cols))
+        ij = _saddle(row_min, col_max)
+        assume(ij is not None)
+        i, j = ij
+        v = 0.0 + rows[i][j]
+        # One cell takes a new value, often one the table already holds.
+        ai, bi = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        x = data.draw(st.one_of(TIED_OR_ANY, st.sampled_from(sum(rows, []))))
+        rows[ai][bi] = cols[bi][ai] = x
+        # The learner's refresh: one row minimum and one column maximum.
+        row_min[ai] = min(rows[ai])
+        col_max[bi] = max(cols[bi])
+        fresh_min, fresh_max = list(map(min, rows)), list(map(max, zip(*rows)))
+        assert np.array_equal(bits(row_min), bits(fresh_min))
+        assert np.array_equal(bits(col_max), bits(fresh_max))
+        # Exact: kept when, and only when, the scan still finds (i, j) and
+        # the stage value keeps its bits.
+        still = (_saddle(fresh_min, fresh_max) == ij
+                 and np.array_equal(bits([0.0 + rows[i][j]]), bits([v])))
+        assert _saddle_kept(row_min, col_max, ij, v, ai, bi) == still
 
     def test_agrees_with_lp_on_random_2x2(self):
         rng = np.random.default_rng(77)

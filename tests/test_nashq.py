@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy_reference
 import per_state_vi_reference as vi_ref
@@ -409,17 +410,34 @@ class TestLearnerPinnedToNumpyLoop:
             if profile == "no_exploration":
                 cfg = dataclasses.replace(cfg, exploration=0.0)
             wanted = (400, 1600)
-        res = nash_q_learn(spec, cfg, snapshot_episodes=wanted)
-        ref = numpy_reference.nash_q_learn(spec, cfg, snapshot_episodes=wanted)
+        ref = assert_learner_matches_numpy_loop(spec, cfg, wanted)
         if profile == "lp_markov_3x2":
             assert ref.lp_calls > 0
-        for ours, theirs in ((res.tables.q1, ref.q1), (res.tables.visits, ref.visits),
-                             (res.curve, ref.curve)):
-            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-            assert ours.tobytes() == theirs.tobytes()
-        assert sorted(res.snapshots) == sorted(ref.snapshots) == list(wanted)
-        for ep in wanted:
-            assert res.snapshots[ep].tobytes() == ref.snapshots[ep].tobytes()
+
+    # Every learn starts from all-zero tables, full of tied saddles, so
+    # kept saddle entries meet ties at every index; the reference solves
+    # every stage afresh. Derandomized to keep the suite's time steady.
+    @pytest.mark.parametrize("exploration", [0.5, 0.0])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=game_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_random_games(self, exploration, spec, seed):
+        cfg = LearnConfig(episodes=15, seed=seed, exploration=exploration)
+        assert_learner_matches_numpy_loop(spec, cfg, (1, 15))
+
+
+def assert_learner_matches_numpy_loop(spec, cfg, wanted):
+    """``nash_q_learn`` gives ``numpy_reference.nash_q_learn``'s tables, visits,
+    curve and snapshots bit for bit; returns the reference's result."""
+    res = nash_q_learn(spec, cfg, snapshot_episodes=wanted)
+    ref = numpy_reference.nash_q_learn(spec, cfg, snapshot_episodes=wanted)
+    for ours, theirs in ((res.tables.q1, ref.q1), (res.tables.visits, ref.visits),
+                         (res.curve, ref.curve)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+    assert sorted(res.snapshots) == sorted(ref.snapshots) == list(wanted)
+    for ep in wanted:
+        assert res.snapshots[ep].tobytes() == ref.snapshots[ep].tobytes()
+    return ref
 
 
 class TestDefaultProfileConvergence:
