@@ -125,7 +125,7 @@ def cmd_equilibrium(args, cfg) -> dict:
         print(f"lemke-howson failed: {exc}")
     if stage.zero_sum:
         _print_result("zero-sum value", equilibria.zero_sum_value(stage))
-    if max(stage.shape) <= 5:
+    if max(stage.shape) <= equilibria.SUPPORT_MAX:
         for i, res in enumerate(equilibria.support_enumeration(stage)):
             _print_result(f"support enumeration #{i}", res)
     return {}

@@ -500,19 +500,20 @@ def _cold_results(a: np.ndarray, b: np.ndarray) -> tuple:
     The square-support search (``_unique_supports``) first; each game
     whose equilibrium it does not prove unique (degenerate, tied or above
     ``SUPPORT_MAX``) takes one maximin LP, whose primal is the row mix
-    and whose duals are the column mix. Where the two supports have the
-    same size, the support solve polishes them to machine precision so
-    the certificate holds at ``CERT_TOL``; elsewhere the LP point stands.
-    A unique equilibrium is the LP's point too, with the same supports,
-    so the search changes no bit of the result. Raises ``RuntimeError``
-    when a gap exceeds ``CERT_TOL``.
+    and whose duals are the column mix. Where an LP point's two supports
+    have the same size, the support solve polishes it to machine
+    precision so the certificate holds at ``CERT_TOL``; elsewhere the LP
+    point stands. The search's point is that polish already, and a unique
+    equilibrium is the LP's point too, so the search changes no bit of
+    the result. Raises ``RuntimeError`` when a gap exceeds ``CERT_TOL``.
     """
     found, x, y = _unique_supports(a, b)
-    for g in np.flatnonzero(~found):
+    lp = np.flatnonzero(~found)
+    for g in lp:
         xg, yg = _maximin_lp(a[g][None, None])
         x[g], y[g] = xg[0], yg[0]
-    for rows, xs, ys in _square_supports(a, x > SUPPORT_TOL, y > SUPPORT_TOL):
-        x[rows], y[rows] = xs, ys
+    for rows, xs, ys in _square_supports(a[lp], x[lp] > SUPPORT_TOL, y[lp] > SUPPORT_TOL):
+        x[lp[rows]], y[lp[rows]] = xs, ys
     res = _results(a, b, x, y)
     over = res[4][res[4] > CERT_TOL]
     if over.size:

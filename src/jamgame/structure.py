@@ -15,8 +15,9 @@ The checks read the game off ``spec.compiled``: the ratio bound and the
 continuation difference share one table of weighted arrival-probability
 increments. The ratio bound is one reduction over that table: the max,
 the count of excluded tuples and the key of the first non-positive
-increment. The reward cancellation's float residue comes from the
-compiled rewards. Its exact check evaluates the alternating sum of the
+increment. The ratio condition and the continuation difference read one
+array of value gaps. The reward cancellation's float residue comes from
+the compiled rewards. Its exact check evaluates the alternating sum of the
 reward formula in rational arithmetic over the stored float parameters,
 so "equals zero" is not a round-off accident. Supermodularity scans
 one point at a time against the points it strictly dominates, so memory
@@ -265,6 +266,12 @@ def gain_averaged_values(spec: GameSpec, values: np.ndarray) -> np.ndarray:
     return np.einsum("tij,ij->t", v, w)
 
 
+def _value_gaps(spec: GameSpec, values: np.ndarray) -> np.ndarray:
+    """Gain-averaged value gaps ``gap[m] = vbar(0) - vbar(m + 1)``, ``m < tau_max``."""
+    vbar = gain_averaged_values(spec, values)
+    return vbar[0] - vbar[1:]
+
+
 def check_monotone_sufficient_condition(
     spec: GameSpec, values: np.ndarray, eps: EpsilonReport
 ) -> MonotoneConditionReport:
@@ -273,41 +280,30 @@ def check_monotone_sufficient_condition(
     ``values`` are the sensor's per-state equilibrium values (their gaps
     ``v(0) - v(m)`` are positive; the ratio is identical for either player
     of the zero-sum game). The condition at holding time ``m`` compares
-    ``(v(0) - v(m+2)) / (v(0) - v(m+1))`` against ``epsilon_max``; the
+    ``(v(0) - v(m+2)) / (v(0) - v(m+1))`` against ``epsilon_max``; a zero
+    denominator leaves the ratio undefined and the condition false. The
     report also records the smallest ``m`` from which it holds onward.
     """
     # Attacker values work equally: both gaps flip sign, the ratio does not.
-    vbar = gain_averaged_values(spec, values)
-    ratios = {}
-    holds = {}
-    undefined = []
-    for m in range(spec.tau_max - 1):
-        den = float(vbar[0] - vbar[m + 1])
-        num = float(vbar[0] - vbar[m + 2])
-        if den == 0.0:
-            ratios[m] = None
-            holds[m] = False
-            undefined.append(m)
-            continue
-        ratios[m] = num / den
-        holds[m] = bool(ratios[m] > eps.epsilon_max)
+    gap = _value_gaps(spec, values)
+    undefined = gap[:-1] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = gap[1:] / gap[:-1]
+    holds = ~undefined & (ratio > eps.epsilon_max)
     product_ok = all(
         b_hi * a_lo >= b_lo * a_hi
         for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2)
         for b_lo, b_hi in itertools.combinations(spec.actions_sensor, 2)
     )
-    threshold = None
-    for m in sorted(holds):
-        if all(holds[k] for k in holds if k >= m):
-            threshold = m
-            break
+    # onward[m]: the condition holds at every holding time from m on.
+    onward = np.logical_and.accumulate(holds[::-1])[::-1]
     return MonotoneConditionReport(
-        ratios=ratios,
-        holds=holds,
-        undefined=tuple(undefined),
+        ratios=dict(enumerate(np.where(undefined, None, ratio).tolist())),
+        holds=dict(enumerate(holds.tolist())),
+        undefined=tuple(np.flatnonzero(undefined).tolist()),
         action_product_ok=product_ok,
         epsilon_max=eps.epsilon_max,
-        threshold_tau=threshold,
+        threshold_tau=int(onward.argmax()) if onward.any() else None,
     )
 
 
@@ -406,11 +402,9 @@ def continuation_difference_positive(spec: GameSpec, values: np.ndarray):
     arrival-probability increments against the value gaps and requires it
     to be strictly positive. Returns ``(ok, witness)``.
     """
-    vbar = gain_averaged_values(spec, values)
+    gap = _value_gaps(spec, values)
     inc = _increments(spec)
-    for m in range(spec.tau_max - 1):
-        gap1 = vbar[0] - vbar[m + 1]
-        gap2 = vbar[0] - vbar[m + 2]
+    for m, (gap1, gap2) in enumerate(zip(gap[:-1], gap[1:])):
         val = inc[:, :, None, None, :, :] * gap2 - inc[:, :, :, :, None, None] * gap1
         bad = np.flatnonzero(val <= 0)
         if bad.size:

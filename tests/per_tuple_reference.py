@@ -8,7 +8,9 @@ it, and the ratio bound, the continuation difference and the reward
 residue as loops over every gain and action tuple. The ratio bound also
 kept every tuple's ratio in a dict keyed by ``increment_keys``; the
 library now keeps only the max, the premise, the witness and the count
-of excluded tuples. The order checks
+of excluded tuples. The value-gap ratio condition took one holding time
+at a time, and its threshold tried every start with a nested ``all``.
+The order checks
 walked every pair of points: supermodularity as four nested products,
 policy monotonicity as a double loop over states, and the exact reward
 cancellation as a generator of ``Fraction`` sums. The tests check that
@@ -158,6 +160,30 @@ def epsilon_max(spec):
                 continue
             values[key] = float(num / den)
     return values, max(values.values()), cond, witness, tuple(excluded)
+
+
+def monotone_sufficient_condition(spec, vbar, epsilon_max):
+    """``(ratios, holds, undefined, threshold_tau)`` of the value-gap ratio
+    condition over gain-averaged values ``vbar``, holding time by holding time."""
+    ratios = {}
+    holds = {}
+    undefined = []
+    for m in range(spec.tau_max - 1):
+        den = float(vbar[0] - vbar[m + 1])
+        num = float(vbar[0] - vbar[m + 2])
+        if den == 0.0:
+            ratios[m] = None
+            holds[m] = False
+            undefined.append(m)
+            continue
+        ratios[m] = num / den
+        holds[m] = bool(ratios[m] > epsilon_max)
+    threshold = None
+    for m in sorted(holds):
+        if all(holds[k] for k in holds if k >= m):
+            threshold = m
+            break
+    return ratios, holds, tuple(undefined), threshold
 
 
 def continuation_difference_positive(spec, vbar):

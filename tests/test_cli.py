@@ -8,6 +8,7 @@ import pytest
 
 from solver_probes import count_lp_calls
 
+from jamgame import equilibria
 from jamgame.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -190,6 +191,18 @@ class TestEquilibriumCommand:
         assert "zero-sum: True" in text
         assert "lemke-howson" in text
         assert "support enumeration" in text
+
+    def test_support_enumeration_follows_its_cap(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "three.txt"
+        path.write_text("1 0 0\n0 1 0\n0 0 1\n\n-1 0 0\n0 -1 0\n0 0 -1\n")
+        monkeypatch.setattr(equilibria, "SUPPORT_MAX", 2)
+        assert main(["equilibrium", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "zero-sum value" in text
+        assert "support enumeration" not in text
+        monkeypatch.setattr(equilibria, "SUPPORT_MAX", 3)
+        assert main(["equilibrium", str(path)]) == 0
+        assert "support enumeration #0" in capsys.readouterr().out
 
     def test_degenerate_matrix_takes_the_lp(self, capsys, monkeypatch):
         # A repeated row: no square support proves the equilibrium unique.

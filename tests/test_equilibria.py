@@ -470,6 +470,29 @@ class TestSquareSupportSearch:
         assert len(lps) == 1
         assert_same_result(res, lp_route_reference.zero_sum_value(game))
 
+    def test_search_results_are_not_polished_again(self, monkeypatch):
+        # A mixed 2x2, a second mixed 2x2 and a strict pure saddle: the search
+        # proves each unique, so the support solve runs only inside it.
+        a = np.array([[[1.0, -1.0], [-1.0, 1.0]],
+                      [[3.0, 1.0], [0.0, 2.0]],
+                      [[2.0, 1.0], [0.0, -1.0]]])
+        calls = []
+        real = equilibria._support_rows
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(equilibria, "_support_rows", counted)
+        assert equilibria._unique_supports(a, -a)[0].all()
+        searched = list(calls)
+        lps = count_lp_calls(monkeypatch)
+        got = equilibria._cold_results(a, -a)
+        assert calls == searched + searched and lps == []
+        want = lp_route_reference.lp_results(a, -a)
+        for g, w in zip(got, want):
+            assert (bits(g) == bits(w)).all()
+
 
 class TestSupportEnumeration:
     def test_matching_pennies_unique(self):

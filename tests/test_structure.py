@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import (
     WITNESS_CAP,
+    EpsilonReport,
     _increment_key,
     _increments,
     check_monotone_policy,
@@ -237,6 +239,72 @@ class TestMonotoneSufficientCondition:
         v2 = np.array([p.value_p2 for p in vi.policies])
         rep = check_monotone_sufficient_condition(small, v2, eps)
         assert not rep.action_product_ok
+
+
+def _assert_condition_matches_loop(spec, values, eps_max):
+    """Ratios by ``repr``, verdicts, undefined holding times and threshold
+    against the holding-time loop; returns the report."""
+    eps = EpsilonReport(epsilon_max=eps_max, condition_holds=True)
+    rep = check_monotone_sufficient_condition(spec, values, eps)
+    want = ref.monotone_sufficient_condition(spec, gain_averaged_values(spec, values), eps_max)
+    assert repr((rep.ratios, rep.holds, rep.undefined, rep.threshold_tau)) == repr(want)
+    return rep
+
+
+class TestSufficientConditionMatchesHoldingTimeLoop:
+    """The slice division and the backward threshold scan reproduce the
+    per-holding-time loop and its nested threshold search."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=game_specs(), data=st.data())
+    def test_random_values(self, spec, data):
+        # Few distinct levels give tied gaps (ratio exactly 1) and zero gaps
+        # (undefined ratios); a constant draw leaves every ratio undefined.
+        level = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0]),
+                          st.floats(-50.0, 50.0, allow_subnormal=False))
+        per_tau = data.draw(st.lists(level, min_size=spec.tau_max + 1, max_size=spec.tau_max + 1))
+        shape = data.draw(st.sampled_from(["per holding time", "per state", "constant"]))
+        n_pairs = spec.channel.n_gains ** 2
+        if shape == "per state":
+            values = np.array(data.draw(st.lists(level, min_size=spec.n_states,
+                                                 max_size=spec.n_states)))
+        else:
+            values = np.repeat(per_tau if shape == "per holding time" else per_tau[:1] * len(per_tau),
+                               n_pairs)
+        eps_max = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 1.5]),
+                                      st.floats(-5.0, 5.0, allow_subnormal=False)))
+        rep = _assert_condition_matches_loop(spec, values, eps_max)
+        if shape == "constant":
+            assert rep.undefined == tuple(range(spec.tau_max - 1))
+
+    @staticmethod
+    def falling_values(spec, gaps):
+        """Per-state values equal across gain pairs, ``v(0) - v(m + 1) = gaps[m]``."""
+        return -np.repeat(np.concatenate([[0.0], gaps]), spec.channel.n_gains ** 2)
+
+    @pytest.mark.parametrize("fail, threshold", [(-1, None), (0, 1), (None, 0)],
+                             ids=["last", "first", "none"])
+    def test_one_failing_ratio(self, fail, threshold):
+        # 999 ratios of 1.1, but the failing one exactly 1, against epsilon_max
+        # 1.05; a stable plant keeps the long holding-time axis certifiable.
+        spec = dataclasses.replace(example2_spec(), tau_max=1000, model=SystemModel(
+            A=[[0.95]], C=[[0.7]], Q=[[0.8]], R=[[0.8]], Pi0=[[0.8]]))
+        ratios = np.full(spec.tau_max - 1, 1.1)
+        if fail is not None:
+            ratios[fail] = 1.0
+        gaps = np.cumprod(np.concatenate([[1.0], ratios]))
+        rep = _assert_condition_matches_loop(spec, self.falling_values(spec, gaps), 1.05)
+        assert rep.threshold_tau == threshold
+        assert [m for m, ok in rep.holds.items() if not ok] == list(np.flatnonzero(ratios == 1.0))
+        assert rep.undefined == ()
+
+    def test_zero_gap_is_undefined_not_infinite(self):
+        # gap 0 then gap 1: the division gives inf, which must not count as holding.
+        spec = example2_spec()
+        gaps = np.array([0.0, 1.0, 2.0, 4.0])
+        rep = _assert_condition_matches_loop(spec, self.falling_values(spec, gaps), 1.5)
+        assert rep.undefined == (0,) and rep.ratios[0] is None and rep.holds[0] is False
+        assert rep.threshold_tau == 1
 
 
 class TestMonotonePolicy:
