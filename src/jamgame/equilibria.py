@@ -3,7 +3,8 @@
 Three routes are provided and cross-checked in the test suite:
 
 * ``lemke_howson`` -- complementary pivoting on the two best-response
-  polytopes, with lexicographic tie-breaking and a pivot budget;
+  polytopes (tableaux of Python floats), with lexicographic tie-breaking
+  and a pivot budget;
 * ``zero_sum_value`` -- the square-support search, which proves a unique
   equilibrium on a square support, else one maximin linear program
   (HiGHS, loaded on the first LP) whose duals are the column strategy;
@@ -12,9 +13,10 @@ Three routes are provided and cross-checked in the test suite:
   games, used as the independent oracle.
 
 ``solve_stage`` sends zero-sum games to ``zero_sum_value`` and the rest
-to Lemke-Howson, with support enumeration as the last resort. The
-maximin LP takes one payoff block per pair of player types, so the
-Bayesian variant (``bayesian.solve_bayesian``) is solved by it too.
+to Lemke-Howson, with support enumeration as the last resort for games
+up to ``SUPPORT_MAX`` a side. The maximin LP takes one payoff block per
+pair of player types, so the Bayesian variant
+(``bayesian.solve_bayesian``) is solved by it too.
 
 ``stage_values`` and ``stage_policies`` solve a whole table of zero-sum
 stage games ``q[s]`` in one pass: the saddle scan and the 2x2 formula
@@ -85,7 +87,9 @@ _LP_OPTIONS = {
 
 
 class PivotLimitError(RuntimeError):
-    """Lemke-Howson exceeded its pivot budget (degenerate or cycling game)."""
+    """Lemke-Howson found no equilibrium: its pivot budget ran out (degenerate
+    or cycling game), it ended at the artificial equilibrium or on an
+    unbounded ray, or its payoffs or basic values overflowed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,31 +237,38 @@ def _result(game: StageGame, x, y) -> EquilibriumResult:
 # Lemke-Howson
 # ---------------------------------------------------------------------------
 
-def _lex_min_ratio(tableau: np.ndarray, col: int, id_cols) -> int:
+def _lex_min_ratio(tableau: list, col: int, id_cols) -> int:
     """Row of the lexicographic minimum ratio for the entering column.
 
     Compares (rhs, identity-history columns) componentwise, all divided by
-    the pivot entry; this is the standard anti-cycling rule.
+    the pivot entry; this is the standard anti-cycling rule. A comparison
+    tied on rhs is decided by the rest, so the identity-column ratios are
+    formed only for a row that ties with the best so far.
     """
-    rows = np.nonzero(tableau[:, col] > 1e-12)[0]
-    if rows.size == 0:
-        raise PivotLimitError("entering column has no positive entry (unbounded ray)")
     best = None
-    best_key = None
-    cols = [tableau.shape[1] - 1] + list(id_cols)
-    for r in rows:
-        piv = tableau[r, col]
-        key = tuple(tableau[r, c] / piv for c in cols)
-        if best is None or key < best_key:
-            best, best_key = int(r), key
+    for r, row in enumerate(tableau):
+        piv = row[col]
+        if piv > 1e-12:
+            ratio = row[-1] / piv
+            if best is None or ratio < best_ratio:
+                best, best_ratio = r, ratio
+            elif ratio == best_ratio:
+                held = tableau[best]
+                if [row[c] / piv for c in id_cols] < [held[c] / held[col] for c in id_cols]:
+                    best = r
+    if best is None:
+        raise PivotLimitError("entering column has no positive entry (unbounded ray)")
     return best
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+def _pivot(tableau: list, row: int, col: int) -> None:
+    """Divide the pivot row by its pivot, then clear the column from the other rows."""
+    piv = tableau[row][col]
+    prow = tableau[row] = [v / piv for v in tableau[row]]
+    for r, other in enumerate(tableau):
+        f = other[col]
+        if r != row and f != 0.0:
+            tableau[r] = [v - f * w for v, w in zip(other, prow)]
 
 
 def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
@@ -266,24 +277,31 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
     ``initial_label`` is the label dropped first: ``0..m-1`` are row
     actions, ``m..m+n-1`` column actions. The payoffs are shifted to be
     positive internally; the certificate is computed on the originals.
-    Raises ``PivotLimitError`` past ``10 (m+n)^2`` pivots; callers fall
+    Raises ``PivotLimitError`` past ``10 (m+n)^2`` pivots, and when the
+    shifted payoffs or a basic value at the end overflow; callers fall
     back to ``support_enumeration`` or ``zero_sum_value``.
     Tableaux, bases and identity columns are pairs indexed by side (0: X,
     1: Y); a pivot step works on one side and hands its leaving label on.
+    A tableau is a list of rows of Python floats, pivoted with the
+    operations numpy would run, in the same order (the numpy loop is the
+    reference in ``tests/lemke_howson_reference.py``).
     """
     m, n = game.shape
     if not 0 <= initial_label < m + n:
         raise ValueError(f"initial_label must be in [0, {m + n})")
     shift = min(float(game.payoff_p1.min()), float(game.payoff_p2.min()))
-    a = game.payoff_p1 - shift + 1.0  # strictly positive
-    b = game.payoff_p2 - shift + 1.0
+    top = max(float(game.payoff_p1.max()), float(game.payoff_p2.max()))
+    if not math.isfinite(top - shift + 1.0):
+        raise PivotLimitError("payoffs overflow when shifted to be positive")
+    a = (game.payoff_p1 - shift + 1.0).tolist()  # strictly positive
+    bt = (game.payoff_p2 - shift + 1.0).T.tolist()
 
     # Tableau X: n rows for B' x + s = 1; columns [x_0..x_{m-1}, s_0..s_{n-1}, 1].
     # Tableau Y: m rows for r + A y = 1; columns [r_0..r_{m-1}, y_0..y_{n-1}, 1].
     # In both, the variable carrying label L sits in column L; a side's
     # identity columns are the labels of its starting basis.
-    tabs = (np.hstack([b.T, np.eye(n), np.ones((n, 1))]),
-            np.hstack([np.eye(m), a, np.ones((m, 1))]))
+    tabs = ([row + _unit(j, n) + [1.0] for j, row in enumerate(bt)],
+            [_unit(i, m) + row + [1.0] for i, row in enumerate(a)])
     ids = (range(m, m + n), range(m))
     bases = [list(cols) for cols in ids]
 
@@ -302,6 +320,8 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
         side = 1 - side
     else:
         raise PivotLimitError(f"no equilibrium within {budget} pivots")
+    if not all(math.isfinite(row[-1]) for tab in tabs for row in tab):
+        raise PivotLimitError("pivoting overflowed: a basic value is not finite")
 
     # z[L] is the value of the variable carrying label L: the x (labels
     # below m) are read off tableau X, the y off tableau Y.
@@ -309,11 +329,16 @@ def lemke_howson(game: StageGame, initial_label: int = 0) -> EquilibriumResult:
     for side, (tab, basis) in enumerate(zip(tabs, bases)):
         for row, lab in enumerate(basis):
             if (lab >= m) == side:
-                z[lab] = tab[row, -1]
+                z[lab] = tab[row][-1]
     x, y = z[:m], z[m:]
     if x.sum() <= 0 or y.sum() <= 0:
         raise PivotLimitError("pivoting terminated at the artificial equilibrium")
     return _result(game, x, y)
+
+
+def _unit(i: int, k: int) -> list:
+    """Row ``i`` of the ``k x k`` identity, as Python floats."""
+    return [0.0] * i + [1.0] + [0.0] * (k - 1 - i)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +806,9 @@ def solve_stage(game: StageGame) -> EquilibriumResult:
 
     Zero-sum games go to ``zero_sum_value``. Otherwise Lemke-Howson runs
     are tried at increasing initial labels and the first certified result
-    wins; support enumeration is the last resort for small games.
+    wins; support enumeration is the last resort for games up to
+    ``SUPPORT_MAX`` a side. Raises ``RuntimeError`` when none of them
+    finds a certified equilibrium.
     """
     if game.zero_sum:
         return zero_sum_value(game)
@@ -793,7 +820,7 @@ def solve_stage(game: StageGame) -> EquilibriumResult:
             continue
         if res.deviation_gap <= CERT_TOL:
             return res
-    results = support_enumeration(game)
+    results = support_enumeration(game) if max(m, n) <= SUPPORT_MAX else []
     if results:
         return results[0]
     raise RuntimeError("no certified equilibrium found")

@@ -1,15 +1,40 @@
-"""Lemke-Howson with one branch per tableau, kept as the reference for the folded loop.
+"""Lemke-Howson on numpy tableaux, one branch per tableau: the reference for the float loop.
 
-Before ``equilibria.lemke_howson`` kept its tableaux, bases and identity
-columns in pairs indexed by side, it pivoted tableau X and tableau Y in
-two mirrored branches of the loop and read the two bases back in two
+``equilibria.lemke_howson`` keeps its tableaux as lists of rows of Python
+floats, its tableaux, bases and identity columns in pairs indexed by side,
+and builds a ratio key past the right-hand side only for rows that tie
+on it. This loop pivots numpy arrays in two mirrored branches, with the
+full lexicographic key for every row, and reads the two bases back in two
 loops. The tests check that the library reproduces it bit for bit:
 strategies, values, deviation gap and ``PivotLimitError`` messages.
 """
 
 import numpy as np
 
-from jamgame.equilibria import PivotLimitError, _lex_min_ratio, _pivot, _result
+from jamgame.equilibria import PivotLimitError, _result
+
+
+def _lex_min_ratio(tableau, col, id_cols):
+    """Row of the lexicographic minimum of (rhs, identity columns) / pivot entry."""
+    rows = np.nonzero(tableau[:, col] > 1e-12)[0]
+    if rows.size == 0:
+        raise PivotLimitError("entering column has no positive entry (unbounded ray)")
+    best = None
+    best_key = None
+    cols = [tableau.shape[1] - 1] + list(id_cols)
+    for r in rows:
+        piv = tableau[r, col]
+        key = tuple(tableau[r, c] / piv for c in cols)
+        if best is None or key < best_key:
+            best, best_key = int(r), key
+    return best
+
+
+def _pivot(tableau, row, col):
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
 
 
 def lemke_howson(game, initial_label=0):

@@ -212,6 +212,19 @@ class TestEquilibriumCommand:
         assert len(lps) == 1
         assert "zero-sum value: p1 [0.333333, 0.333333, 0.333333, 0.0]" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_shift_reports_the_failure(self, tmp_path, capsys):
+        # Shifting these payoffs positive overflows: Lemke-Howson fails
+        # without a numpy warning, and support enumeration still runs.
+        path = tmp_path / "huge.txt"
+        path.write_text("1.7e308 -1.7e308 0\n-1.7e308 1.7e308 1\n\n"
+                        "-1.7e308 1e306 2\n1.7e308 -1.7e308 3\n")
+        assert main(["equilibrium", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "lemke-howson failed: " in out
+        assert "support enumeration #0" in out
+        assert err == ""
+
     def test_matching_pennies_file(self, tmp_path, capsys):
         path = tmp_path / "mp.txt"
         path.write_text("1 -1\n-1 1\n")

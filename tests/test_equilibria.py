@@ -46,6 +46,9 @@ DOMINANCE = StageGame(
     payoff_p1=[[-1.9906, -4.9245], [3.0094, 0.0755]],
     payoff_p2=[[1.9906, 4.9245], [-3.0094, -0.0755]],
 )
+# Payoffs whose shift to positive overflows; support enumeration certifies it.
+OVERFLOW = StageGame(payoff_p1=[[1.7e308, -1.7e308, 0], [-1.7e308, 1.7e308, 1]],
+                     payoff_p2=[[-1.7e308, 1e306, 2], [1.7e308, -1.7e308, 3]])
 
 
 def zero_sum(matrix):
@@ -607,7 +610,7 @@ class TestStackedKernelsMatchSingleGameRoutes:
 
 
 class TestLemkeHowsonMatchesTwoBranchReference:
-    """The one pivot step against the mirrored-branch loop (``lemke_howson_reference``)."""
+    """The float loop against the numpy loop in two branches (``lemke_howson_reference``)."""
 
     @staticmethod
     def games():
@@ -624,6 +627,19 @@ class TestLemkeHowsonMatchesTwoBranchReference:
                         a = rng.normal(size=(m, n))
                         b = -a
                     yield StageGame(payoff_p1=a, payoff_p2=b)
+
+    @staticmethod
+    def stage_and_binary_games():
+        """Normal games shaped like the benchmark's stage games (2-4 x 2-4),
+        and {0, 1}-payoff games, whose ratios tie."""
+        rng = np.random.default_rng(67)
+        for kind in ("normal", "binary") * 200:
+            m, n = rng.integers(2, 5, size=2)
+            if kind == "normal":
+                a, b = rng.normal(size=(2, m, n))
+            else:
+                a, b = rng.integers(0, 2, size=(2, m, n))
+            yield StageGame(payoff_p1=a, payoff_p2=b)
 
     @staticmethod
     def outcomes(game, before_each=lambda: None) -> list:
@@ -649,17 +665,37 @@ class TestLemkeHowsonMatchesTwoBranchReference:
         for game in self.games():
             assert self.outcomes(game) == [None] * sum(game.shape)
 
+    def test_stage_shaped_and_binary_games_bit_for_bit(self, monkeypatch):
+        # Count the reference's ratio tests whose least rhs ratio is shared by
+        # two rows, so that the rest of the key decides: the float loop forms
+        # that rest only on a tie.
+        ties = []
+        ratio_rule = lemke_howson_reference._lex_min_ratio
+
+        def counted(tableau, col, id_cols):
+            rows = np.nonzero(tableau[:, col] > 1e-12)[0]
+            if rows.size:
+                ratios = tableau[rows, -1] / tableau[rows, col]
+                ties.append(np.count_nonzero(ratios == ratios.min()) > 1)
+            return ratio_rule(tableau, col, id_cols)
+
+        monkeypatch.setattr(lemke_howson_reference, "_lex_min_ratio", counted)
+        for game in self.stage_and_binary_games():
+            self.outcomes(game)
+        assert sum(ties) >= 100
+
     def test_pivot_failures_raise_the_same_messages(self, monkeypatch):
         # A ratio rule without the lexicographic tie-break, installed in both
-        # loops, reaches the artificial equilibrium and the pivot budget.
+        # loops, reaches the artificial equilibrium and the pivot budget. It
+        # indexes rows, so that it runs on lists of rows and on arrays alike.
         calls = []
 
         def scrambled(tableau, col, id_cols):
-            rows = np.nonzero(tableau[:, col] > 1e-12)[0]
-            if rows.size == 0:
+            rows = [r for r, row in enumerate(tableau) if row[col] > 1e-12]
+            if not rows:
                 raise PivotLimitError("entering column has no positive entry (unbounded ray)")
             calls.append(col)
-            return int(rows[len(calls) * 7919 % rows.size])
+            return rows[len(calls) * 7919 % len(rows)]
 
         for module in (equilibria, lemke_howson_reference):
             monkeypatch.setattr(module, "_lex_min_ratio", scrambled)
@@ -667,6 +703,81 @@ class TestLemkeHowsonMatchesTwoBranchReference:
                     if msg is not None]
         assert "pivoting terminated at the artificial equilibrium" in messages
         assert any(msg.startswith("no equilibrium within") for msg in messages)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLemkeHowsonOverflow:
+    """Payoffs near the float limit fail loudly, with ``PivotLimitError``."""
+
+    def test_shift_overflow_fails_every_label(self):
+        for label in range(sum(OVERFLOW.shape)):
+            with pytest.raises(PivotLimitError, match="overflow when shifted"):
+                lemke_howson(OVERFLOW, label)
+
+    def test_dispatcher_falls_back_to_enumeration(self):
+        res = solve_stage(OVERFLOW)
+        assert res.deviation_gap <= CERT_TOL
+        assert_same_result(res, support_enumeration(OVERFLOW)[0])
+
+    def test_non_finite_basic_value(self):
+        # The shift is finite, but a pivot overflows; numpy warns on it.
+        game = StageGame(payoff_p1=[[1e300, -8e307, -1e300], [-1.0, 0.0, 1e300], [-8e307, 1.0, 2.0]],
+                         payoff_p2=[[-1e300, 8e307, 0.0], [-1.0, 1e300, -1e300], [1.0, 1e300, 1e300]])
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            lemke_howson_reference.lemke_howson(game, 2)
+        with pytest.raises(PivotLimitError, match="a basic value is not finite"):
+            lemke_howson(game, 2)
+
+
+class TestSolveStageFallbacks:
+    """``solve_stage`` on general-sum games, with ``lemke_howson`` replaced."""
+
+    @staticmethod
+    def replace_lemke_howson(monkeypatch, outcome) -> list:
+        """Make ``lemke_howson(game, label)`` return or raise ``outcome(game, label)``;
+        returns the list of labels it is called with."""
+        labels = []
+
+        def replaced(game, label):
+            labels.append(label)
+            return outcome(game, label)
+
+        monkeypatch.setattr(equilibria, "lemke_howson", replaced)
+        return labels
+
+    @staticmethod
+    def fail(game, label):
+        raise PivotLimitError("no equilibrium within 0 pivots")
+
+    def test_uncertified_result_tries_the_next_label(self, monkeypatch):
+        # Battle of the sexes: pure (row 0, column 1) is no equilibrium.
+        def outcome(game, label):
+            return _result(game, [1.0, 0.0], [0.0, 1.0]) if label == 0 else lemke_howson(game, label)
+
+        labels = self.replace_lemke_howson(monkeypatch, outcome)
+        res = solve_stage(BATTLE)
+        assert labels == [0, 1]
+        assert_same_result(res, lemke_howson(BATTLE, 1))
+
+    def test_every_label_failed_takes_the_enumeration(self, monkeypatch):
+        labels = self.replace_lemke_howson(monkeypatch, self.fail)
+        res = solve_stage(BATTLE)
+        assert labels == [0, 1, 2, 3]
+        assert_same_result(res, support_enumeration(BATTLE)[0])
+
+    def test_no_enumeration_above_its_cap(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        game = StageGame(payoff_p1=rng.normal(size=(6, 6)), payoff_p2=rng.normal(size=(6, 6)))
+        labels = self.replace_lemke_howson(monkeypatch, self.fail)
+        with pytest.raises(RuntimeError, match="no certified equilibrium found"):
+            solve_stage(game)
+        assert labels == list(range(12))
+
+    def test_enumeration_finds_nothing(self, monkeypatch):
+        self.replace_lemke_howson(monkeypatch, self.fail)
+        monkeypatch.setattr(equilibria, "support_enumeration", lambda game: [])
+        with pytest.raises(RuntimeError, match="no certified equilibrium found"):
+            solve_stage(BATTLE)
 
 
 class TestSolversAgree:
