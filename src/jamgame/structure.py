@@ -21,9 +21,9 @@ the compiled rewards. Its exact check evaluates the alternating sum of the
 reward formula in rational arithmetic over the stored float parameters,
 so "equals zero" is not a round-off accident. Supermodularity scans
 one point at a time against the points it strictly dominates, so memory
-stays linear in the number of states; policy monotonicity compares the
-holding times pairwise, one pair of gain pairs at a time, in
-``(tau_max + 1)^2`` booleans.
+stays linear in the number of states; policy monotonicity compares each
+state with a running maximum over earlier holding times, so its memory
+is linear in ``tau_max``.
 """
 
 from __future__ import annotations
@@ -94,24 +94,12 @@ WITNESS_CAP = 10
 
 @dataclass(frozen=True, eq=False)
 class MonotoneReport:
-    """Strict-increase verdict for both players under both summaries.
+    """Strict-increase verdict for both players under both summaries, and
+    the first ``WITNESS_CAP`` failing expected-action pairs."""
 
-    ``*_failures`` counts the dominating pairs that fail; ``*_witnesses``
-    lists the first ``WITNESS_CAP`` of them.
-    """
-
-    expected_failures: int
+    expected_ok: bool
     expected_witnesses: tuple
-    argmax_failures: int
-    argmax_witnesses: tuple
-
-    @property
-    def expected_ok(self) -> bool:
-        return self.expected_failures == 0
-
-    @property
-    def argmax_ok(self) -> bool:
-        return self.argmax_failures == 0
+    argmax_ok: bool
 
 
 def _action_pairs(n: int) -> np.ndarray:
@@ -314,46 +302,43 @@ def check_monotone_policy(
 
     A state dominates another when every coordinate (tau and both gains)
     is strictly larger. Each player's mixed strategy is summarized two
-    ways: expected action and max-probability action; the check requires
-    the summary of the dominating state to be strictly larger (argmax
-    summary: at least as large, strictly in tau-spanning chains is not
-    enforced -- ties are reported as witnesses). Pairs with either state
-    below ``min_tau`` are skipped. Failing pairs are counted; the first
-    ``WITNESS_CAP`` are kept as witnesses ``(i, j)``, ordered by the
-    dominating state ``i``, then the dominated ``j``.
+    ways. The expected action of the dominating state must be strictly
+    larger, so ties fail; the max-probability action must be at least as
+    large, so ties pass. Pairs with either state below ``min_tau`` are
+    skipped. A state fails iff a summary does not rise above the running
+    maximum, over earlier holding times, of some gain pair it dominates.
+    The first ``WITNESS_CAP`` failing expected-action pairs are the
+    witnesses ``(i, j)``, ordered by the dominating state ``i``, then the
+    dominated ``j``. ``policies`` must hold one strategy pair per state.
     """
+    if len(policies) != spec.n_states:
+        raise ValueError(f"expected {spec.n_states} policies, one per state, got {len(policies)}")
     acts_a = np.array(spec.actions_attacker)
     acts_b = np.array(spec.actions_sensor)
-    exp_a = np.array([float(p.strat_p1.probs @ acts_a) for p in policies])
-    exp_b = np.array([float(p.strat_p2.probs @ acts_b) for p in policies])
     pa, pb = policy_arrays(policies)
-    arg_a, arg_b = acts_a[pa.argmax(axis=1)], acts_b[pb.argmax(axis=1)]
     n_pairs = spec.compiled.n_pairs
-    gains = [(s.g_s, s.g_a) for s in spec.states[:n_pairs]]
-    ordered = [(ph, pl) for ph, pl in itertools.product(range(n_pairs), repeat=2)
-               if gains[ph][0] > gains[pl][0] and gains[ph][1] > gains[pl][1]]
+    exp_a, exp_b, arg_a, arg_b = (np.array(v).reshape(-1, n_pairs) for v in (
+        [float(row @ acts_a) for row in pa], [float(row @ acts_b) for row in pb],
+        acts_a[pa.argmax(axis=1)], acts_b[pb.argmax(axis=1)]))
+    gains = np.array([(s.g_s, s.g_a) for s in spec.states[:n_pairs]])
+    dom = (gains[:, None] > gains[None, :]).all(axis=2)  # dom[h, l]: h above l in both gains
     t0 = max(min_tau, 0)
 
-    def scan(a, b, rises):
-        a, b = (v.reshape(-1, n_pairs)[t0:] for v in (a, b))
-        below = np.tri(len(a), k=-1, dtype=bool)  # t > t'
-        failures, candidates = 0, []
-        for ph, pl in ordered:
-            ok = rises(a[:, ph, None], a[:, pl]) & rises(b[:, ph, None], b[:, pl])
-            bad = np.flatnonzero(below & ~ok)
-            failures += bad.size
-            t, u = np.divmod(bad[:WITNESS_CAP], len(a))
-            candidates += zip(((t + t0) * n_pairs + ph).tolist(),
-                              ((u + t0) * n_pairs + pl).tolist())
-        return failures, tuple(sorted(candidates)[:WITNESS_CAP])
+    def failing(a, b, rises):
+        """Indices of the states from holding time ``t0 + 1`` on that fail."""
+        top_a, top_b = (np.maximum.accumulate(v[t0:], axis=0)[:-1, None] for v in (a, b))
+        ok = rises(a[t0 + 1:, :, None], top_a) & rises(b[t0 + 1:, :, None], top_b)
+        return np.flatnonzero((dom & ~ok).any(axis=2)) + (t0 + 1) * n_pairs
 
-    exp_fail, exp_wit = scan(exp_a, exp_b, np.greater)
-    arg_fail, arg_wit = scan(arg_a, arg_b, np.greater_equal)
+    witnesses = []
+    for i in failing(exp_a, exp_b, np.greater)[:WITNESS_CAP].tolist():
+        t, h = divmod(i, n_pairs)
+        ok = (exp_a[t, h] > exp_a[t0:t]) & (exp_b[t, h] > exp_b[t0:t])
+        witnesses += [(i, j) for j in (np.flatnonzero(dom[h] & ~ok) + t0 * n_pairs).tolist()]
     return MonotoneReport(
-        expected_failures=exp_fail,
-        expected_witnesses=exp_wit,
-        argmax_failures=arg_fail,
-        argmax_witnesses=arg_wit,
+        expected_ok=not witnesses,
+        expected_witnesses=tuple(witnesses[:WITNESS_CAP]),
+        argmax_ok=not failing(arg_a, arg_b, np.greater_equal).size,
     )
 
 

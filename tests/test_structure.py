@@ -321,6 +321,34 @@ class TestMonotonePolicy:
         rep = check_monotone_policy(spec, flat, min_tau=0)
         assert not rep.expected_ok
         assert rep.expected_witnesses
+        # Exact ties with the running maximum over earlier holding times. On
+        # example 2 only gain pair 0 (both gains high) dominates pair 3 (both
+        # low). Pair 0 at holding time 3 repeats the mix pair 3 plays at
+        # holding time 1, the maximum of its holding times 0-2, so expected
+        # action ties with a non-adjacent holding time: strict increase fails
+        # with witness (12, 7). The max-probability action ties too, and
+        # passes. min_tau 2 drops holding time 1, and min_tau 5 every state.
+        spec = example2_spec()
+        for player, min_tau, want in (("a", 0, ((12, 7),)), ("b", 0, ((12, 7),)),
+                                      ("a", 2, ()), ("b", spec.tau_max + 1, ())):
+            # Weight on the high action, by (holding time, gain pair).
+            tied = np.full((spec.tau_max + 1, 4), 0.5)
+            tied[:, 3], tied[:, 0] = [0.2, 0.6, 0.3, 0.1, 0.1], [0.9, 0.4, 0.7, 0.6, 0.8]
+            pure = np.full_like(tied, 0.5)
+            pure[:, 3], pure[:, 0] = 0.0, 1.0
+            xa, xb = (tied, pure) if player == "a" else (pure, tied)
+            policies = [_policy([1 - x, x], [1 - y, y]) for x, y in zip(xa.flat, xb.flat)]
+            rep = check_monotone_policy(spec, policies, min_tau=min_tau)
+            assert _verdicts(rep) == (not want, want, True)
+            exp_ok, exp_wit, arg_ok, _ = ref.check_monotone_policy(spec, policies, min_tau)
+            assert repr(_verdicts(rep)) == repr((exp_ok, exp_wit, arg_ok))
+
+    @pytest.mark.parametrize("n_policies", [8, 16, 19, 24])
+    def test_policy_list_of_the_wrong_length_raises(self, default_config, n_policies):
+        # The default profile has 20 states over 4 gain pairs.
+        policies = [_policy([1.0, 0.0], [1.0, 0.0])] * n_policies
+        with pytest.raises(ValueError, match=f"expected 20 policies, one per state, got {n_policies}"):
+            check_monotone_policy(default_config.game, policies)
 
     def test_min_tau_filters_pairs(self, monotone_config):
         spec = monotone_config.game
@@ -476,21 +504,22 @@ def _tied_mixes(n):
         (eye[i] + eye[j]) / 2 for i, j in itertools.combinations(range(n), 2)]
 
 
+def _verdicts(rep):
+    """What a policy-monotonicity report holds, as one comparable tuple."""
+    return rep.expected_ok, rep.expected_witnesses, rep.argmax_ok
+
+
 def _assert_order_checks_match_loops(spec, tables, policies, min_taus):
     """Supermodularity, policy monotonicity and the reward cancellation against the
-    pair loops: verdicts, failure counts, the first witnesses and their order,
-    margins, exact flag and residue."""
+    pair loops: verdicts, the first witnesses and their order, margins, exact flag
+    and residue."""
     for q in tables:
         lattice = game_q_lattice(spec, q, max_tau=spec.tau_max - 1)
         assert repr(check_q_supermodular(spec, q)) == repr(ref.check_supermodular(lattice, 3))
     for min_tau in min_taus:
-        rep = check_monotone_policy(spec, policies, min_tau=min_tau)
-        got = (rep.expected_ok, rep.expected_failures, rep.expected_witnesses,
-               rep.argmax_ok, rep.argmax_failures, rep.argmax_witnesses)
-        exp_ok, exp_wit, arg_ok, arg_wit = ref.check_monotone_policy(spec, policies, min_tau)
-        want = (exp_ok, len(exp_wit), exp_wit[:WITNESS_CAP],
-                arg_ok, len(arg_wit), arg_wit[:WITNESS_CAP])
-        assert repr(got) == repr(want)
+        got = _verdicts(check_monotone_policy(spec, policies, min_tau=min_tau))
+        exp_ok, exp_wit, arg_ok, _ = ref.check_monotone_policy(spec, policies, min_tau)
+        assert repr(got) == repr((exp_ok, exp_wit[:WITNESS_CAP], arg_ok))
     want = (ref.reward_cancellation_exact(spec), ref.reward_float_residue(spec))
     assert repr(reward_cancellation_residual(spec)) == repr(want)
 
@@ -512,7 +541,7 @@ class TestOrderChecksMatchPairLoops:
         ok, wit = check_q_supermodular(spec, scaled_oracle.tables.q2)
         assert not ok and wit[2] <= 0
         rep = check_monotone_policy(spec, scaled_oracle.policies, min_tau=1)
-        assert rep.expected_failures > WITNESS_CAP
+        assert len(ref.check_monotone_policy(spec, scaled_oracle.policies, 1)[1]) > WITNESS_CAP
         assert len(rep.expected_witnesses) == WITNESS_CAP
         assert all(spec.states[j].tau >= 1 for _, j in rep.expected_witnesses)
 
@@ -529,9 +558,9 @@ class TestOrderChecksMatchPairLoops:
         n_pairs = spec.compiled.n_pairs
         for min_tau in min_taus[:2]:
             rep = check_monotone_policy(spec, policies, min_tau=min_tau)
-            assert rep.expected_failures > WITNESS_CAP
+            assert len(ref.check_monotone_policy(spec, policies, min_tau)[1]) > WITNESS_CAP
             assert len({(i % n_pairs, j % n_pairs) for i, j in rep.expected_witnesses}) > 1
-        assert check_monotone_policy(spec, policies, min_tau=spec.tau_max).expected_failures == 0
+        assert check_monotone_policy(spec, policies, min_tau=spec.tau_max).expected_ok
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(spec=game_specs(), seed=st.integers(0, 2**32 - 1))
