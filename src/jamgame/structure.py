@@ -14,9 +14,9 @@ facts behind "larger state implies larger equilibrium power":
 The checks read the game off ``spec.compiled``: the ratio bound and the
 continuation difference share one table of weighted arrival-probability
 increments. The ratio bound is one reduction over that table: the max,
-the count of excluded tuples and the key of the first non-positive
-increment. The ratio condition and the continuation difference read one
-array of value gaps. The reward cancellation's float residue comes from
+the count of excluded tuples and whether every increment is positive.
+The ratio condition and the continuation difference read one array of
+value gaps. The reward cancellation's float residue comes from
 the compiled rewards. Its exact check evaluates the alternating sum of the
 reward formula in rational arithmetic over the stored float parameters,
 so "equals zero" is not a round-off accident. Supermodularity scans
@@ -66,14 +66,12 @@ class EpsilonReport:
     g_a', a+, a-, b+, b-)`` whose denominator is nonzero; ``n_excluded``
     counts the tuples whose denominator vanished. ``condition_holds``
     states whether every arrival-probability increment was strictly
-    positive (the premise under which the bound is usable); ``witness``
-    is the first offending tuple otherwise.
+    positive (the premise under which the bound is usable).
     """
 
     epsilon_max: float
     condition_holds: bool
-    witness: tuple = None
-    n_excluded: int = 0
+    n_excluded: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +82,6 @@ class MonotoneConditionReport:
     holds: dict  # m -> bool
     undefined: tuple
     action_product_ok: bool
-    epsilon_max: float
     threshold_tau: int = None  # smallest m from which the condition holds onward
 
 
@@ -125,17 +122,6 @@ def _increments(spec: GameSpec) -> np.ndarray:
     return (np.outer(spec.mu, spec.mu)[:, :, None, None] * (hi - lo)).transpose(2, 3, 0, 1)
 
 
-def _increment_key(spec: GameSpec, index: tuple) -> tuple:
-    """``(g_s, g_a, g_s', g_a', a+, a-, b+, b-)`` of the entry ``inc[i, j, s, t]``
-    compared against ``inc[i, j, s', t']``, at ``index = (i, j, s, t, s', t')``."""
-    i, j, *g = index
-    acts_a, acts_b = spec.actions_attacker, spec.actions_sensor
-    a_lo, a_hi = _action_pairs(len(acts_a))[i].tolist()
-    b_lo, b_hi = _action_pairs(len(acts_b))[j].tolist()
-    return (tuple(spec.channel.gains[k] for k in g)
-            + (acts_a[a_hi], acts_a[a_lo], acts_b[b_hi], acts_b[b_lo]))
-
-
 def require_two_actions(spec: GameSpec) -> None:
     """Raise ``ValueError`` unless each player has an action pair to compare."""
     if len(spec.actions_attacker) < 2 or len(spec.actions_sensor) < 2:
@@ -147,9 +133,8 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
 
     Each tuple compares the weighted arrival-probability increment at the
     lower state's gains against the higher state's. Tuples with a zero
-    denominator are excluded from the max and counted; the witness is the
-    first tuple, in row-major order of ``inc[i, j, s, t]`` against
-    ``inc[i, j, s', t']``, whose increment is not positive.
+    denominator are excluded from the max and counted. The premise reads
+    the increment table itself: every increment must be positive.
     """
     require_two_actions(spec)
     inc = _increments(spec)
@@ -160,14 +145,7 @@ def epsilon_max(spec: GameSpec) -> EpsilonReport:
     zero = np.broadcast_to(den == 0.0, ratio.shape)
     if zero.all():
         raise ValueError("all denominators vanished; channel is degenerate")
-    bad = np.flatnonzero(np.broadcast_to(num <= 0, ratio.shape))
-    witness = _increment_key(spec, np.unravel_index(bad[0], ratio.shape)) if bad.size else None
-    return EpsilonReport(
-        epsilon_max=float(ratio[~zero].max()),
-        condition_holds=bad.size == 0,
-        witness=witness,
-        n_excluded=int(zero.sum()),
-    )
+    return EpsilonReport(float(ratio[~zero].max()), bool((inc > 0).all()), int(zero.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +166,10 @@ def check_supermodular(table: np.ndarray, n_state_axes: int):
     block. For every pair of points with the state block strictly higher
     on one side and the action block strictly higher on the other,
     requires ``f(join) + f(meet) > f(x) + f(y)``. Returns ``(ok,
-    witness)`` where the witness names the first violating pair, in
-    row-major order of (higher state, lower state, higher action, lower).
+    witness)`` where the witness is the first violating pair ``(x, y)``,
+    in row-major order of (higher state, lower state, higher action,
+    lower): ``x`` takes the higher state and the lower action, ``y`` the
+    lower state and the higher action.
     """
     table = np.asarray(table, dtype=float)
     if not 0 < n_state_axes < table.ndim:
@@ -210,7 +190,7 @@ def check_supermodular(table: np.ndarray, n_state_axes: int):
             r, c = divmod(int(bad[0]), a_hi.size)
             wit_hi = tuple(states[i].tolist() + acts[a_lo[c]].tolist())
             wit_lo = tuple(states[lo[r]].tolist() + acts[a_hi[c]].tolist())
-            return False, (wit_hi, wit_lo, float(lhs[r, c] - rhs[r, c]))
+            return False, (wit_hi, wit_lo)
     return True, None
 
 
@@ -261,7 +241,7 @@ def _value_gaps(spec: GameSpec, values: np.ndarray) -> np.ndarray:
 
 
 def check_monotone_sufficient_condition(
-    spec: GameSpec, values: np.ndarray, eps: EpsilonReport
+    spec: GameSpec, values: np.ndarray, epsilon_max: float
 ) -> MonotoneConditionReport:
     """Ratio and action-product sufficient condition for supermodularity.
 
@@ -277,7 +257,7 @@ def check_monotone_sufficient_condition(
     undefined = gap[:-1] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = gap[1:] / gap[:-1]
-    holds = ~undefined & (ratio > eps.epsilon_max)
+    holds = ~undefined & (ratio > epsilon_max)
     product_ok = all(
         b_hi * a_lo >= b_lo * a_hi
         for a_lo, a_hi in itertools.combinations(spec.actions_attacker, 2)
@@ -290,7 +270,6 @@ def check_monotone_sufficient_condition(
         holds=dict(enumerate(holds.tolist())),
         undefined=tuple(np.flatnonzero(undefined).tolist()),
         action_product_ok=product_ok,
-        epsilon_max=eps.epsilon_max,
         threshold_tau=int(onward.argmax()) if onward.any() else None,
     )
 
@@ -385,17 +364,14 @@ def continuation_difference_positive(spec: GameSpec, values: np.ndarray):
     ``values`` are the sensor's per-state values. For each holding time
     and tuple of gains/actions, assembles the weighted difference of
     arrival-probability increments against the value gaps and requires it
-    to be strictly positive. Returns ``(ok, witness)``.
+    to be strictly positive. Returns whether it is, stopping at the first
+    holding time where it is not.
     """
     gap = _value_gaps(spec, values)
     inc = _increments(spec)
-    for m, (gap1, gap2) in enumerate(zip(gap[:-1], gap[1:])):
-        val = inc[:, :, None, None, :, :] * gap2 - inc[:, :, :, :, None, None] * gap1
-        bad = np.flatnonzero(val <= 0)
-        if bad.size:
-            key = _increment_key(spec, np.unravel_index(bad[0], val.shape))
-            return False, (m,) + key + (val.flat[bad[0]],)
-    return True, None
+    return not any(
+        (inc[:, :, None, None, :, :] * gap2 - inc[:, :, :, :, None, None] * gap1 <= 0).any()
+        for gap1, gap2 in zip(gap[:-1], gap[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +387,12 @@ def structure_report(spec: GameSpec, oracle) -> dict:
     """
     eps = epsilon_max(spec)
     v2 = np.array([p.value_p2 for p in oracle.policies])
-    t3 = check_monotone_sufficient_condition(spec, v2, eps)
+    t3 = check_monotone_sufficient_condition(spec, v2, eps.epsilon_max)
     sup_ok, sup_wit = check_q_supermodular(spec, oracle.tables.q2)
     min_tau = t3.threshold_tau if t3.threshold_tau is not None else 0
     mono = check_monotone_policy(spec, oracle.policies, min_tau=min_tau)
     d1_exact, d1_float = reward_cancellation_residual(spec)
-    d2_ok, d2_wit = continuation_difference_positive(spec, v2)
+    d2_ok = continuation_difference_positive(spec, v2)
     return {
         "epsilon_max": eps.epsilon_max,
         "epsilon_condition_holds": eps.condition_holds,
@@ -427,7 +403,7 @@ def structure_report(spec: GameSpec, oracle) -> dict:
         "action_product_ok": t3.action_product_ok,
         "threshold_tau": t3.threshold_tau,
         "supermodular_sensor_q": sup_ok,
-        "supermodular_witness": list(map(list, sup_wit[:2])) if sup_wit else None,
+        "supermodular_witness": list(map(list, sup_wit)) if sup_wit else None,
         "monotone_expected_action": mono.expected_ok,
         "monotone_argmax_action": mono.argmax_ok,
         "monotone_witnesses": [list(w) for w in mono.expected_witnesses],

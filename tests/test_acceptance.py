@@ -150,13 +150,13 @@ def test_criterion_7_monotone_structure_pipeline(monotone_config, monotone_oracl
     spec = monotone_config.game
     eps = epsilon_max(spec)
     v2 = np.array([p.value_p2 for p in monotone_oracle.policies])
-    t3 = check_monotone_sufficient_condition(spec, v2, eps)
+    t3 = check_monotone_sufficient_condition(spec, v2, eps.epsilon_max)
     product_ok = t3.action_product_ok and 7 * 3 >= 2 * 9
     sup_ok, _ = check_q_supermodular(spec, monotone_oracle.tables.q2)
     mono = check_monotone_policy(spec, monotone_oracle.policies,
                                  min_tau=t3.threshold_tau)
     d1_exact, d1_float = reward_cancellation_residual(spec)
-    d2_ok, _ = continuation_difference_positive(spec, v2)
+    d2_ok = continuation_difference_positive(spec, v2)
     ok = (t3.threshold_tau == 0 and product_ok and sup_ok
           and mono.expected_ok and d1_exact and d1_float <= 1e-12 and d2_ok)
     report(7, ok,

@@ -20,8 +20,6 @@ from jamgame.game import GameSpec
 from jamgame.nashq import shapley_value_iteration
 from jamgame.structure import (
     WITNESS_CAP,
-    EpsilonReport,
-    _increment_key,
     _increments,
     check_monotone_policy,
     check_q_supermodular,
@@ -101,7 +99,6 @@ class TestEpsilonMax:
     def test_positive_increments_reported(self):
         rep = epsilon_max(example2_spec())
         assert rep.condition_holds
-        assert rep.witness is None
         assert rep.n_excluded == 0
 
     def test_requires_two_actions(self):
@@ -131,7 +128,7 @@ class TestExcludedTuples:
         spec = parse_config(saturated_default([200, 400])).game
         rep = _assert_epsilon_matches_reference(spec)
         assert rep.n_excluded == 4  # of 16 gain quadruples
-        assert not rep.condition_holds and rep.witness is not None
+        assert not rep.condition_holds
         assert math.isfinite(rep.epsilon_max)
 
     def test_fully_saturated_channel_fails_monotone(self, tmp_path, capsys):
@@ -167,8 +164,7 @@ class TestCheckSupermodular:
         table = -(s[:, None, None] * a[None, :, None] * b[None, None, :])
         ok, wit = check_supermodular(table, n_state_axes=1)
         assert not ok
-        lhs_minus_rhs = wit[2]
-        assert lhs_minus_rhs < 0
+        assert _four_point_margin(table, 1, wit) < 0
 
     def test_hand_checked_four_point_inequality(self):
         # 2x2x2 grid of s*a*b: the unique crossed pair is (s1,a0,b0) vs
@@ -192,7 +188,7 @@ def oracle_pair():
 class TestMonotoneSufficientCondition:
     def test_action_product_holds_for_example_actions(self, oracle_pair):
         spec, vi = oracle_pair
-        eps = epsilon_max(spec)
+        eps = epsilon_max(spec).epsilon_max
         v2 = np.array([p.value_p2 for p in vi.policies])
         rep = check_monotone_sufficient_condition(spec, v2, eps)
         # 7 * 3 = 21 >= 2 * 9 = 18
@@ -200,7 +196,7 @@ class TestMonotoneSufficientCondition:
 
     def test_ratios_match_hand_computation(self, oracle_pair):
         spec, vi = oracle_pair
-        eps = epsilon_max(spec)
+        eps = epsilon_max(spec).epsilon_max
         v2 = np.array([p.value_p2 for p in vi.policies])
         rep = check_monotone_sufficient_condition(spec, v2, eps)
         vbar = gain_averaged_values(spec, v2)
@@ -210,7 +206,7 @@ class TestMonotoneSufficientCondition:
 
     def test_ratio_invariant_under_player_choice(self, oracle_pair):
         spec, vi = oracle_pair
-        eps = epsilon_max(spec)
+        eps = epsilon_max(spec).epsilon_max
         v1 = np.array([p.value_p1 for p in vi.policies])
         v2 = np.array([p.value_p2 for p in vi.policies])
         r1 = check_monotone_sufficient_condition(spec, v1, eps)
@@ -220,7 +216,7 @@ class TestMonotoneSufficientCondition:
 
     def test_constant_values_reported_undefined(self, oracle_pair):
         spec, _ = oracle_pair
-        eps = epsilon_max(spec)
+        eps = epsilon_max(spec).epsilon_max
         rep = check_monotone_sufficient_condition(spec, np.ones(spec.n_states), eps)
         assert rep.threshold_tau is None
         assert len(rep.undefined) == spec.tau_max - 1
@@ -234,7 +230,7 @@ class TestMonotoneSufficientCondition:
             alpha_s=1.0, alpha_a=1.0, beta=0.75, tau_max=4,
             channel=spec.channel, model=spec.model,
         )
-        eps = epsilon_max(small)
+        eps = epsilon_max(small).epsilon_max
         vi = shapley_value_iteration(small)
         v2 = np.array([p.value_p2 for p in vi.policies])
         rep = check_monotone_sufficient_condition(small, v2, eps)
@@ -244,8 +240,7 @@ class TestMonotoneSufficientCondition:
 def _assert_condition_matches_loop(spec, values, eps_max):
     """Ratios by ``repr``, verdicts, undefined holding times and threshold
     against the holding-time loop; returns the report."""
-    eps = EpsilonReport(epsilon_max=eps_max, condition_holds=True)
-    rep = check_monotone_sufficient_condition(spec, values, eps)
+    rep = check_monotone_sufficient_condition(spec, values, eps_max)
     want = ref.monotone_sufficient_condition(spec, gain_averaged_values(spec, values), eps_max)
     assert repr((rep.ratios, rep.holds, rep.undefined, rep.threshold_tau)) == repr(want)
     return rep
@@ -391,36 +386,7 @@ class TestRewardIdentities:
         spec = monotone_config.game
         vi = shapley_value_iteration(spec)
         v2 = np.array([p.value_p2 for p in vi.policies])
-        ok, wit = continuation_difference_positive(spec, v2)
-        assert ok and wit is None
-
-
-class TestIncrementKeys:
-    """The continuation check's one witness key is the full key list's entry."""
-
-    @staticmethod
-    def check_keys(spec):
-        inc = _increments(spec)
-        shape = inc.shape + inc.shape[2:]
-        keys = ref.increment_keys(spec)
-        assert len(keys) == math.prod(shape)
-        for k, key in enumerate(keys):
-            assert repr(_increment_key(spec, np.unravel_index(k, shape))) == repr(key)
-
-    @pytest.mark.parametrize("profile", ["default", "monotone", "scaled"])
-    def test_profiles(self, profile, request):
-        spec = request.getfixturevalue(f"{profile}_config").game
-        self.check_keys(spec)
-        v2 = [p.value_p2 for p in request.getfixturevalue(f"{profile}_oracle").policies]
-        got = continuation_difference_positive(spec, v2)
-        want = ref.continuation_difference_positive(spec, gain_averaged_values(spec, v2))
-        assert repr(got) == repr(want)
-        assert got[0] == (profile == "monotone")
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(spec=game_specs())
-    def test_random_games(self, spec):
-        self.check_keys(spec)
+        assert continuation_difference_positive(spec, v2) is True
 
 
 class TestPipelineReport:
@@ -438,6 +404,27 @@ class TestPipelineReport:
         text = render_report(rep)
         assert "epsilon_max" in text and "supermodular" in text
 
+    def test_report_keys_and_supermodularity_witness(self, default_config, default_oracle):
+        # The benchmark's structure check and render_report read these keys.
+        spec = default_config.game
+        rep = structure_report(spec, default_oracle)
+        assert sorted(rep) == sorted([
+            "epsilon_max", "epsilon_condition_holds", "epsilon_excluded_tuples",
+            "ratio_per_holding_time", "ratio_holds", "ratio_undefined", "action_product_ok",
+            "threshold_tau", "supermodular_sensor_q", "supermodular_witness",
+            "monotone_expected_action", "monotone_argmax_action", "monotone_witnesses",
+            "reward_cancellation_exact", "reward_cancellation_float_residue",
+            "continuation_difference_positive"])
+        # The default profile's sensor table is not supermodular: the witness is
+        # a pair of lattice points (tau, g_s, g_a, a, b) that violates the
+        # four-point inequality.
+        assert rep["supermodular_sensor_q"] is False
+        x, y = (tuple(p) for p in rep["supermodular_witness"])
+        assert len(x) == len(y) == 5
+        assert all(h > l for h, l in zip(x[:3], y[:3])) and all(h > l for h, l in zip(y[3:], x[3:]))
+        lattice = game_q_lattice(spec, default_oracle.tables.q2, max_tau=spec.tau_max - 1)
+        assert _four_point_margin(lattice, 3, (x, y)) <= 0
+
     def test_sensor_supermodular_attacker_not(self, monotone_config):
         # Zero-sum: the sensor's table satisfies the four-point inequality,
         # so the attacker's (its negation) must violate it strictly.
@@ -450,12 +437,11 @@ class TestPipelineReport:
 
 
 def _assert_epsilon_matches_reference(spec):
-    """Max, premise, witness and excluded count against the per-tuple loop."""
-    _, want_max, want_holds, want_witness, want_excluded = ref.epsilon_max(spec)
+    """Max, premise and excluded count against the per-tuple loop."""
+    _, want_max, want_holds, _, want_excluded = ref.epsilon_max(spec)
     rep = epsilon_max(spec)
-    assert repr(rep.epsilon_max) == repr(want_max)
-    assert (rep.condition_holds, rep.witness) == (want_holds, want_witness)
-    assert rep.n_excluded == len(want_excluded)
+    assert repr((rep.epsilon_max, rep.condition_holds, rep.n_excluded)) == repr(
+        (want_max, want_holds, len(want_excluded)))
     return rep
 
 
@@ -464,22 +450,28 @@ def _assert_matches_per_tuple_loops(spec, values):
     values = np.asarray(values, dtype=float)
     if min(len(spec.actions_attacker), len(spec.actions_sensor)) >= 2:
         _assert_epsilon_matches_reference(spec)
-    got = continuation_difference_positive(spec, values)
-    assert repr(got) == repr(ref.continuation_difference_positive(
-        spec, gain_averaged_values(spec, values)))
+    want_ok, _ = ref.continuation_difference_positive(spec, gain_averaged_values(spec, values))
+    assert continuation_difference_positive(spec, values) is want_ok
     assert repr(reward_cancellation_residual(spec)[1]) == repr(ref.reward_float_residue(spec))
 
 
 class TestMatchesPerTupleLoops:
     """The compiled-model checks reproduce the per-tuple erfc loops bit for bit."""
 
-    @pytest.mark.parametrize("profile", ["default", "monotone", "example2"])
-    def test_shipped_profiles(self, profile, default_config, monotone_config):
-        spec = {"default": default_config.game, "monotone": monotone_config.game,
-                "example2": example2_spec()}[profile]
-        oracle = shapley_value_iteration(spec)
-        for v in ([p.value_p2 for p in oracle.policies], [p.value_p1 for p in oracle.policies]):
+    @pytest.mark.parametrize("profile", ["default", "monotone", "example2", "scaled"])
+    def test_shipped_profiles(self, profile, request):
+        if profile == "example2":
+            spec = example2_spec()
+            oracle = shapley_value_iteration(spec)
+        else:
+            spec = request.getfixturevalue(f"{profile}_config").game
+            oracle = request.getfixturevalue(f"{profile}_oracle")
+        v2 = [p.value_p2 for p in oracle.policies]
+        for v in (v2, [p.value_p1 for p in oracle.policies]):
             _assert_matches_per_tuple_loops(spec, v)
+        if profile != "example2":
+            # The sensor's values pass the continuation check on the engineered profile alone.
+            assert continuation_difference_positive(spec, v2) == (profile == "monotone")
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=game_specs(), data=st.data())
@@ -489,6 +481,25 @@ class TestMatchesPerTupleLoops:
                                   max_size=spec.tau_max + 1))
         values = -np.repeat(np.cumsum(drop), spec.channel.n_gains ** 2)
         _assert_matches_per_tuple_loops(spec, values)
+
+
+def _four_point_margin(table, n_state_axes, witness):
+    """``f(join) + f(meet) - f(x) - f(y)`` of a supermodularity witness ``(x, y)``,
+    where ``x`` holds the higher state and ``y`` the higher action."""
+    x, y = witness
+    k = n_state_axes
+    join, meet = x[:k] + y[k:], y[:k] + x[k:]
+    return float((table[join] + table[meet]) - (table[x] + table[y]))
+
+
+def _reference_supermodular(table, n_state_axes):
+    """The pair loop's verdict and witness pair; its margin must be the pair's."""
+    ok, wit = ref.check_supermodular(table, n_state_axes)
+    if wit is None:
+        return ok, None
+    margin = _four_point_margin(np.asarray(table, dtype=float), n_state_axes, wit[:2])
+    assert repr(margin) == repr(wit[2])
+    return ok, wit[:2]
 
 
 def _policy(p_attacker, p_sensor):
@@ -511,11 +522,11 @@ def _verdicts(rep):
 
 def _assert_order_checks_match_loops(spec, tables, policies, min_taus):
     """Supermodularity, policy monotonicity and the reward cancellation against the
-    pair loops: verdicts, the first witnesses and their order, margins, exact flag
-    and residue."""
+    pair loops: verdicts, the first witnesses and their order, exact flag and
+    residue."""
     for q in tables:
         lattice = game_q_lattice(spec, q, max_tau=spec.tau_max - 1)
-        assert repr(check_q_supermodular(spec, q)) == repr(ref.check_supermodular(lattice, 3))
+        assert repr(check_q_supermodular(spec, q)) == repr(_reference_supermodular(lattice, 3))
     for min_tau in min_taus:
         got = _verdicts(check_monotone_policy(spec, policies, min_tau=min_tau))
         exp_ok, exp_wit, arg_ok, _ = ref.check_monotone_policy(spec, policies, min_tau)
@@ -539,7 +550,8 @@ class TestOrderChecksMatchPairLoops:
         # The scaled profile fails both checks, so its witnesses are non-trivial.
         spec = scaled_config.game
         ok, wit = check_q_supermodular(spec, scaled_oracle.tables.q2)
-        assert not ok and wit[2] <= 0
+        lattice = game_q_lattice(spec, scaled_oracle.tables.q2, max_tau=spec.tau_max - 1)
+        assert not ok and _four_point_margin(lattice, 3, wit) <= 0
         rep = check_monotone_policy(spec, scaled_oracle.policies, min_tau=1)
         assert len(ref.check_monotone_policy(spec, scaled_oracle.policies, 1)[1]) > WITNESS_CAP
         assert len(rep.expected_witnesses) == WITNESS_CAP
@@ -595,6 +607,6 @@ class TestOrderChecksMatchPairLoops:
         table = scale * idx[:k].sum(axis=0) * idx[k:].sum(axis=0)
         table = table + np.random.default_rng(seed).integers(0, 3, size=shape)
         got = check_supermodular(table, n_state_axes=k)
-        assert repr(got) == repr(ref.check_supermodular(table, k))
+        assert repr(got) == repr(_reference_supermodular(table, k))
         if scale == 5.0:
             assert got == (True, None)
